@@ -2,14 +2,13 @@
 
 The offline half of the pipeline in one command::
 
-    repro-fit graph.txt store_dir --dim 128 --workers 4
+    repro-fit graph.txt store_dir --dim 128
 
 reads a whitespace ``src dst`` edge-list file, fits :class:`repro.NRP`
-(through the chunked engine when ``--chunk-size``/``--workers`` are
-given), and writes an mmap-able :class:`repro.serving.EmbeddingStore`
-directory that ``repro-serve query`` answers top-k requests from.
-Optionally also archives the run as a compressed ``.npz`` bundle
-(``--bundle``).
+(its row chunks spread over ``--workers`` threads), and writes an
+mmap-able :class:`repro.serving.EmbeddingStore` directory that
+``repro-serve query`` answers top-k requests from. Optionally also
+archives the run as a compressed ``.npz`` bundle (``--bundle``).
 
 Installed as a console script by ``setup.py``; also runnable as
 ``python -m repro.cli_fit``.
@@ -61,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("sequential", "jacobi"),
                         help="reweighting sweep mode (default sequential)")
     parser.add_argument("--chunk-size", type=int, default=None,
-                        help="rows per chunk for the chunked fit engine")
+                        help="rows per chunk of the fit engine "
+                             "(default 8192)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for chunked stages "
-                             "(default 1; implies the chunked engine "
-                             "when > 1)")
+                        help="threads for the fit's row chunks (default 1; "
+                             "the result is the same for any value)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
     parser.add_argument("--name", default=None,

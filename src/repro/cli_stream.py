@@ -73,9 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
     parser.add_argument("--chunk-size", type=int, default=None,
-                        help="rows per chunk for the chunked engines")
+                        help="rows per chunk of the fit engine "
+                             "(default 8192)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for chunked stages")
+                        help="threads for the fit's row chunks (default 1; "
+                             "the result is the same for any value)")
     parser.add_argument("--name", default=None,
                         help="store name (default: the method's name)")
     parser.add_argument("--batch-size", type=int, default=1000,

@@ -13,6 +13,11 @@ embeddings ``Y`` (``X @ Y.T ~= Pi'``) without ever materializing an
 
 Theorem 1 bounds the entrywise error by
 ``(1+eps) sigma_{k'+1} (1-alpha)(1-(1-alpha)^ell1) + (1-alpha)^(ell1+1)``.
+
+Steps 1 and 3 only multiply sparse matrices by dense blocks. Both go
+through :class:`repro.linalg.BlockSparseOperator`, which evaluates each
+product over row chunks on the thread-pool chunk map of
+:mod:`repro.parallel`, with the bits of a one-shot CSR product.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from .. import obs
 from ..errors import ParameterError
 from ..graph import Graph
 from ..linalg import BlockSparseOperator, bksvd, randomized_svd
-from ..parallel import parallel_map, payload
-from ..ppr.chunks import iter_chunks, resolve_chunk_size
 from ..rng import ensure_rng
 
 __all__ = ["ApproxPPRConfig", "PPRFactorState", "approx_ppr_embeddings",
@@ -40,13 +43,12 @@ class ApproxPPRConfig:
     ``k_prime`` is the per-side dimensionality ``k' = k/2``; the paper's
     defaults are ``alpha=0.15, ell1=20, eps=0.2``.
 
-    ``chunk_size`` / ``workers`` select the chunked engine: every
-    matrix–block product (SVD sketching and the ``ell1`` power
-    iterations) is evaluated over row chunks, optionally across worker
-    processes. The chunked engine is bit-identical to the dense-path
-    arithmetic for the sparse products and deterministic given ``seed``
-    regardless of ``workers``; the default (``chunk_size=None,
-    workers=1``) runs the original single-pass path unchanged.
+    Every matrix–block product (SVD sketching and the ``ell1`` power
+    iterations) is evaluated over row chunks of ``chunk_size`` rows
+    (``None`` = :data:`repro.ppr.DEFAULT_CHUNK_SIZE`), on ``workers``
+    threads. Each output row is computed with the arithmetic of a
+    one-shot CSR product, so the result is bit-identical for any
+    ``chunk_size`` and ``workers``.
     """
 
     k_prime: int
@@ -57,11 +59,6 @@ class ApproxPPRConfig:
     seed: int | None = 0
     chunk_size: int | None = None
     workers: int = 1
-
-    @property
-    def chunked(self) -> bool:
-        """Whether the chunked engine is selected."""
-        return self.chunk_size is not None or self.workers != 1
 
     def validate(self) -> None:
         if self.k_prime < 1:
@@ -84,58 +81,29 @@ class ApproxPPRConfig:
         if int(self.workers) != self.workers or self.workers < 1:
             raise ParameterError(
                 f"workers must be a positive integer, got {self.workers!r}")
-        if self.chunked and self.svd == "exact":
+        if self.svd == "exact" and (self.chunk_size is not None
+                                    or self.workers != 1):
             raise ParameterError(
-                "svd='exact' densifies the full adjacency matrix, which "
-                "defeats the chunked engine; use svd='bksvd' or 'rsvd' "
+                "svd='exact' densifies the full adjacency matrix and "
+                "ignores chunk_size/workers; use svd='bksvd' or 'rsvd' "
                 "with chunk_size/workers")
 
 
 def _factorize_adjacency(graph: Graph, config: ApproxPPRConfig,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    adjacency = graph.adjacency()
-    if config.chunked:
-        # Same arithmetic, evaluated one row block at a time (and in
-        # parallel when workers > 1): bksvd/rsvd only form matrix-block
-        # products, so the operator swap is invisible to them.
-        adjacency = BlockSparseOperator(adjacency,
-                                        chunk_size=config.chunk_size,
-                                        workers=config.workers)
     rng = ensure_rng(config.seed)
+    if config.svd == "exact":
+        dense = graph.adjacency().toarray()
+        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        return u[:, :config.k_prime], s[:config.k_prime], vt[:config.k_prime].T
+    # bksvd/rsvd only form matrix-block products, so the chunked
+    # operator is invisible to them
+    adjacency = BlockSparseOperator(graph.adjacency(),
+                                    chunk_size=config.chunk_size,
+                                    workers=config.workers)
     if config.svd == "bksvd":
         return bksvd(adjacency, config.k_prime, eps=config.eps, seed=rng)
-    if config.svd == "rsvd":
-        return randomized_svd(adjacency, config.k_prime, seed=rng)
-    dense = adjacency.toarray()
-    u, s, vt = np.linalg.svd(dense, full_matrices=False)
-    return u[:, :config.k_prime], s[:config.k_prime], vt[:config.k_prime].T
-
-
-def _power_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    p, x, x1, decay = payload()
-    start, stop = bounds
-    return decay * (p[start:stop] @ x) + x1[start:stop]
-
-
-def _chunked_power_iterations(p, x1: np.ndarray,
-                              config: ApproxPPRConfig) -> np.ndarray:
-    """Lines 3 of Algorithm 1 over row chunks of ``P``.
-
-    Each output row of ``(1 - alpha) P X + X_1`` depends on the full
-    current ``X`` but is computed independently, so the row-chunked
-    product is bit-identical to the one-shot product for any grid and
-    worker count.
-    """
-    n = x1.shape[0]
-    size = resolve_chunk_size(n, config.chunk_size)
-    bounds = list(iter_chunks(n, size))
-    decay = 1.0 - config.alpha
-    x = x1.copy()
-    for _ in range(2, config.ell1 + 1):
-        blocks = parallel_map(_power_chunk, bounds, workers=config.workers,
-                              payload=(p, x, x1, decay))
-        x = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
-    return x
+    return randomized_svd(adjacency, config.k_prime, seed=rng)
 
 
 @dataclass(frozen=True)
@@ -186,15 +154,13 @@ def approx_ppr_state(graph: Graph, config: ApproxPPRConfig,
     np.divide(1.0, sqrt_sigma, out=inv_sqrt, where=sqrt_sigma > 0)
     v_scaled = v * inv_sqrt[None, :]
 
-    p = graph.transition_matrix()
-    with obs.trace("approx_ppr.propagation", ell1=config.ell1,
-                   chunked=config.chunked):
-        if config.chunked:
-            x_iter = _chunked_power_iterations(p, x1, config)
-        else:
-            x_iter = x1.copy()
-            for _ in range(2, config.ell1 + 1):
-                x_iter = (1.0 - config.alpha) * (p @ x_iter) + x1
+    p = BlockSparseOperator(graph.transition_matrix(),
+                            chunk_size=config.chunk_size,
+                            workers=config.workers)
+    with obs.trace("approx_ppr.propagation", ell1=config.ell1):
+        x_iter = x1.copy()
+        for _ in range(2, config.ell1 + 1):
+            x_iter = (1.0 - config.alpha) * (p @ x_iter) + x1
     return PPRFactorState(x1=x1, x_iter=x_iter, y=y, v_scaled=v_scaled)
 
 

@@ -38,14 +38,13 @@ class NRPConfig:
     ``dim`` is the total per-node budget ``k``; each side receives
     ``k' = k/2`` (Line 1 of Algorithm 3).
 
-    ``chunk_size`` and ``workers`` select the chunked fit engine: the
-    ApproxPPR stage runs over row-chunked sparse blocks and the
-    reweighting sweeps use the chunk-precomputed fast path, with chunks
-    optionally fanned out to ``workers`` processes. The default
-    (``chunk_size=None, workers=1``) is the original single-pass path,
-    bit-for-bit. The chunked engine is deterministic given ``seed``
-    regardless of ``workers`` (chunk boundaries depend only on
-    ``chunk_size``) and tracks the default path to ``<= 1e-8``.
+    ``chunk_size`` and ``workers`` shape the one fit engine: the
+    ApproxPPR stage runs its sparse products over row chunks and the
+    reweighting sweeps precompute their per-node terms over the same
+    chunks, on ``workers`` threads. ``chunk_size=None`` means
+    :data:`repro.ppr.DEFAULT_CHUNK_SIZE`. A fit is deterministic given
+    ``(seed, chunk_size)``, bit-identical for any ``workers``, and
+    tracks the paper's per-node reweighting loop to ``<= 1e-8``.
     """
 
     dim: int = 128
@@ -60,11 +59,6 @@ class NRPConfig:
     seed: int | None = 0
     chunk_size: int | None = None
     workers: int = 1
-
-    @property
-    def chunked(self) -> bool:
-        """Whether the chunked fit engine is selected."""
-        return self.chunk_size is not None or self.workers != 1
 
     def validate(self) -> None:
         if self.dim < 2 or self.dim % 2:

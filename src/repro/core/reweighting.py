@@ -8,25 +8,25 @@ aggregates of Eq. (9)/(10)/(13) (named ``xi, chi, rho1, rho2, lam_mat,
 phi`` as in the paper) with ``rho1, rho2`` maintained incrementally
 (Eq. 11 / 26).
 
-Three update modes are provided:
+Two update modes are provided:
 
-* ``sequential`` — the faithful Gauss–Seidel loop of Algorithm 2/4
-  (random node order, incremental ``rho`` updates);
+* ``sequential`` — the Gauss–Seidel loop of Algorithm 2/4 (random node
+  order, incremental ``rho`` updates);
 * ``jacobi`` — all coordinates updated from the same aggregates in one
-  vectorized shot (an ablation; much faster on huge graphs, slightly
-  different trajectory);
-* naive reference functions that evaluate the Eq. (7)/(23) sums directly
-  in ``O(n k')`` per node — used only by tests to pin down the fast path.
+  vectorized shot (an ablation; slightly different trajectory).
 
-Both update modes additionally have a **chunked engine** (selected by
-``chunk_size``/``workers``): the per-node terms that do not depend on
-the evolving ``rho`` vectors — which is everything except one dot
-product per node — are precomputed over row chunks (in parallel when
-``workers > 1``), leaving a Gauss–Seidel recurrence of one fused
-``O(k')`` dot and one ``O(k')`` axpy per node. The chunked trajectory is
-deterministic given ``(seed, chunk_size)`` and independent of
-``workers``; it follows the exact sequential trajectory up to
-floating-point reassociation (observed ``~1e-14`` on the weights).
+Both run on one chunked engine. The per-node terms that do not depend
+on the evolving ``rho`` vectors — everything except one dot product per
+node — are precomputed over row chunks of ``chunk_size`` rows (on
+``workers`` threads, see :mod:`repro.parallel`). What is left of a
+sequential sweep is a recurrence of one fused ``O(k')`` dot and one
+``O(k')`` axpy per node. Its trajectory is deterministic given
+``(seed, chunk_size)``, bit-identical for any ``workers``, and follows
+the per-node loop of the paper up to floating-point reassociation
+(``<= 1e-8``, observed ``~1e-13`` on the weights; the loop is kept in
+the test suite as the parity oracle). The naive reference functions at
+the end evaluate the Eq. (7)/(23) sums directly in ``O(n k')`` per node
+and are used only by tests to pin down the fast formulas.
 
 ``b1`` handling: Eq. (14) approximates ``b1`` via the AM-GM sandwich of
 Eq. (12) with a ``k'/2`` multiplier. Since ``b1`` is exactly
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, ParameterError
-from ..parallel import parallel_map, payload
-from ..ppr.chunks import iter_chunks, resolve_chunk_size
+from ..parallel import parallel_map
+from ..ppr.chunks import iter_chunks
 from ..rng import ensure_rng
 
 __all__ = [
@@ -119,133 +119,123 @@ def forward_aggregates(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
     )
 
 
-def _solve(numerator: float, denominator: float, floor: float) -> float:
-    if denominator <= 1e-300:
-        return floor
-    return max(floor, numerator / denominator)
-
-
 # ----------------------------------------------------------------------
-# Chunked engine. Written once in the *backward* orientation; the
-# forward sweep is the same computation with (x, y), (w_fwd, w_bwd) and
+# The engine. Written once in the *backward* orientation; the forward
+# sweep is the same computation with (x, y), (w_fwd, w_bwd) and
 # (d_out, d_in) swapped (compare the aggregate definitions above).
 # ----------------------------------------------------------------------
 
-def _sweep_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True)
+class _SweepInputs:
+    """Read-only inputs shared by every chunk of one epoch."""
+
+    x: np.ndarray
+    y: np.ndarray
+    w_fwd: np.ndarray
+    w_bwd: np.ndarray
+    d_in: np.ndarray
+    lam: float
+    xy: np.ndarray        # X_v . Y_v
+    wf2: np.ndarray       # w_fwd^2
+    y_xi: np.ndarray      # a1 = Y_v . xi
+    y_chi: np.ndarray     # Y_v . chi
+    yy_phi: np.ndarray | None   # (Y_v * Y_v) . phi; None with exact b1
+
+
+def _sweep_chunk(bounds: tuple[int, int], inp: _SweepInputs, z: np.ndarray,
+                 u: np.ndarray, num0: np.ndarray, denom: np.ndarray) -> None:
     """Rho-independent per-node terms of Eq. (8) for one row chunk.
 
-    Returns ``(z, u, num0, denom)`` where for node ``v`` the sequential
-    update reduces to ``new = clamp((num0[v] - r . z[v]) / denom[v])``
-    followed by ``r += (new - w0[v]) * u[v]`` with the fused state
-    ``r = [rho1, rho2]``.
+    Writes rows ``start:stop`` of ``(z, u, num0, denom)``: for node ``v``
+    the update reduces to ``new = clamp((num0[v] - r . z[v]) / denom[v])``
+    with the fused state ``r = [rho1, rho2]``, followed (sequential mode)
+    by ``r += (new - w0[v]) * u[v]``. The first half of ``z`` holds
+    ``lam_mat @ Y_v`` on entry.
     """
-    (x, y, w_fwd, w_bwd, d_in, lam, agg, xy, wf2, exact_b1) = payload()
     start, stop = bounds
-    k_prime = x.shape[1]
-    xc, yc = x[start:stop], y[start:stop]
-    wfc, w0 = w_fwd[start:stop], w_bwd[start:stop]
-    xyc, wf2c = xy[start:stop], wf2[start:stop]
-    lam_yc = yc @ agg.lam_mat.T                 # row v = lam_mat @ y[v]
-    y_lam_y = np.einsum("ij,ij->i", lam_yc, yc)
-    a1 = yc @ agg.xi
-    proj = yc @ agg.chi - wfc * xyc
-    a2 = d_in[start:stop] * proj
+    k_prime = inp.x.shape[1]
+    xc, yc = inp.x[start:stop], inp.y[start:stop]
+    wfc, w0 = inp.w_fwd[start:stop], inp.w_bwd[start:stop]
+    xyc, wf2c = inp.xy[start:stop], inp.wf2[start:stop]
+    y_lam_y = np.einsum("ij,ij->i", z[start:stop, :k_prime], yc)
+    proj = inp.y_chi[start:stop] - wfc * xyc
+    a2 = inp.d_in[start:stop] * proj
     b2 = proj * proj
-    if exact_b1:
+    if inp.yy_phi is None:
         b1 = y_lam_y - wf2c * xyc * xyc
     else:
-        b1 = 0.5 * k_prime * ((yc * yc) @ agg.phi
+        b1 = 0.5 * k_prime * (inp.yy_phi[start:stop]
                               - wf2c * ((yc * xc) ** 2).sum(axis=1))
     # a3 = rho1.lam_y[v] - w0 y_lam_y - rho2.y[v] + w0 wf2 xy^2; the two
     # rho dots are r . z[v], the rest folds into num0 (each node is
     # visited once per epoch, so its own weight is still w0 there).
-    z = np.hstack([lam_yc, -yc])
-    u = np.hstack([yc, (wf2c * xyc)[:, None] * xc])
-    num0 = a1 + a2 + w0 * y_lam_y - w0 * wf2c * xyc * xyc
-    denom = b1 + b2 + lam
-    return z, u, num0, denom
+    np.negative(yc, out=z[start:stop, k_prime:])
+    u[start:stop, :k_prime] = yc
+    np.multiply((wf2c * xyc)[:, None], xc, out=u[start:stop, k_prime:])
+    num0[start:stop] = (inp.y_xi[start:stop] + a2 + w0 * y_lam_y
+                        - w0 * wf2c * xyc * xyc)
+    denom[start:stop] = b1 + b2 + inp.lam
 
 
-def _jacobi_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    """One row chunk of the vectorized Jacobi update (Eq. 8, frozen rho)."""
-    (x, y, w_fwd, w_bwd, d_in, lam, agg, xy, wf2, exact_b1) = payload()
-    start, stop = bounds
-    n = x.shape[0]
-    k_prime = x.shape[1]
-    floor = 1.0 / n
-    xc, yc = x[start:stop], y[start:stop]
-    wfc, wbc = w_fwd[start:stop], w_bwd[start:stop]
-    xyc, wf2c = xy[start:stop], wf2[start:stop]
-    y_chi = yc @ agg.chi
-    proj = y_chi - wfc * xyc
-    a1 = yc @ agg.xi
-    a2 = d_in[start:stop] * proj
-    b2 = proj * proj
-    y_lam = yc @ agg.lam_mat
-    y_lam_y = np.einsum("ij,ij->i", y_lam, yc)
-    a3 = (y_lam @ agg.rho1 - wbc * y_lam_y - yc @ agg.rho2
-          + wbc * wf2c * xyc * xyc)
-    if exact_b1:
-        b1 = y_lam_y - wf2c * xyc * xyc
-    else:
-        b1 = 0.5 * k_prime * ((yc * yc) @ agg.phi
-                              - wf2c * ((yc * xc) ** 2).sum(axis=1))
-    denom = b1 + b2 + lam
-    new = np.where(denom > 1e-300,
-                   (a1 + a2 - a3) / np.maximum(denom, 1e-300), floor)
-    return np.maximum(floor, new)
-
-
-def _chunked_update(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
-                    w_bwd: np.ndarray, d_out: np.ndarray, d_in: np.ndarray,
-                    lam: float, *, mode: str, exact_b1: bool, seed,
-                    chunk_size: int | None, workers: int) -> np.ndarray:
-    """Chunked epoch in the backward orientation; returns new ``w_bwd``."""
+def _update(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
+            w_bwd: np.ndarray, d_out: np.ndarray, d_in: np.ndarray,
+            lam: float, *, mode: str, exact_b1: bool, seed,
+            chunk_size: int | None, workers: int) -> np.ndarray:
+    """One epoch in the backward orientation; returns the new ``w_bwd``."""
     if mode not in ("sequential", "jacobi"):
         raise ParameterError(f"unknown update mode {mode!r}")
-    n = x.shape[0]
+    n, k_prime = x.shape
     floor = 1.0 / n
-    size = resolve_chunk_size(n, chunk_size)
-    bounds = list(iter_chunks(n, size))
     agg = backward_aggregates(x, y, w_fwd, w_bwd, d_out)
-    xy = np.einsum("ij,ij->i", x, y)
-    wf2 = w_fwd * w_fwd
-    task_payload = (x, y, w_fwd, w_bwd, d_in, lam, agg, xy, wf2, exact_b1)
-
-    if mode == "jacobi":
-        blocks = parallel_map(_jacobi_chunk, bounds, workers=workers,
-                              payload=task_payload)
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-    blocks = parallel_map(_sweep_chunk, bounds, workers=workers,
-                          payload=task_payload)
-    z = np.concatenate([b[0] for b in blocks])
-    u = np.concatenate([b[1] for b in blocks])
-    num0 = np.concatenate([b[2] for b in blocks])
-    denom = np.concatenate([b[3] for b in blocks])
-
-    rng = ensure_rng(seed)
-    perm = rng.permutation(n)
-    # Permutation-ordered contiguous copies; plain-python sequences keep
-    # the per-node interpreter overhead at a couple of calls.
-    z_rows = list(z[perm])
-    u_rows = list(u[perm])
-    num0_p = num0[perm].tolist()
-    denom_p = denom[perm].tolist()
-    w0_p = w_bwd[perm].astype(np.float64).tolist()
+    order = None
+    if mode == "sequential":
+        # Rows are laid out in the sweep's random visiting order, so the
+        # recurrence below reads its precomputed rows front to back.
+        order = ensure_rng(seed).permutation(n)
+        x, y, w_fwd, w_bwd, d_in = (a[order]
+                                    for a in (x, y, w_fwd, w_bwd, d_in))
+    z = np.empty((n, 2 * k_prime))
+    u = np.empty((n, 2 * k_prime))
+    num0 = np.empty(n)
+    denom = np.empty(n)
+    # The BLAS products run once over all rows, threaded by BLAS itself:
+    # BLAS calls from several chunk threads at once contend for the same
+    # cores and measured slower than one thread. The chunk map does the
+    # row-wise rest.
+    np.matmul(y, agg.lam_mat.T, out=z[:, :k_prime])   # row v: lam_mat @ y[v]
+    inp = _SweepInputs(x=x, y=y, w_fwd=w_fwd, w_bwd=w_bwd, d_in=d_in,
+                       lam=lam, xy=np.einsum("ij,ij->i", x, y),
+                       wf2=w_fwd * w_fwd, y_xi=y @ agg.xi, y_chi=y @ agg.chi,
+                       yy_phi=None if exact_b1 else (y * y) @ agg.phi)
+    parallel_map(_sweep_chunk, iter_chunks(n, chunk_size), inp, z, u, num0,
+                 denom, workers=workers)
     r = np.concatenate([agg.rho1, agg.rho2])
-    new_p = np.empty(n)
+
+    if order is None:
+        # Jacobi: every coordinate from the same (frozen) aggregates
+        new = np.where(denom > 1e-300,
+                       (num0 - z @ r) / np.maximum(denom, 1e-300), floor)
+        return np.maximum(floor, new)
+
+    # Gauss-Seidel. Plain-python sequences of row views keep the
+    # per-node interpreter overhead at three calls.
+    z_rows = list(z)
+    u_rows = list(u)
+    num0_l = num0.tolist()
+    denom_l = denom.tolist()
+    w0_l = w_bwd.astype(np.float64).tolist()
+    new_l = [0.0] * n
     dot = np.dot
     for i in range(n):
-        d = denom_p[i]
-        numer = num0_p[i] - dot(r, z_rows[i])
+        d = denom_l[i]
+        numer = num0_l[i] - dot(r, z_rows[i])
         new = floor if d <= 1e-300 else max(floor, numer / d)
-        delta = new - w0_p[i]
+        delta = new - w0_l[i]
         if delta != 0.0:
-            r += delta * u_rows[i]
-        new_p[i] = new
+            r += delta * u_rows[i]                       # Eq. (11) / (26)
+        new_l[i] = new
     out = np.empty(n)
-    out[perm] = new_p
+    out[order] = new_l
     return out
 
 
@@ -257,55 +247,14 @@ def update_backward_weights(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
                             workers: int = 1) -> np.ndarray:
     """One epoch of Algorithm 2 (``updateBwdWeights``); returns new weights.
 
-    ``chunk_size``/``workers`` select the chunked engine (see the module
-    docstring); the default runs the original single-pass path.
+    ``chunk_size`` (``None`` = :data:`repro.ppr.DEFAULT_CHUNK_SIZE`) and
+    ``workers`` shape the chunk precomputation only; see the module
+    docstring.
     """
     _check_inputs(x, y, w_fwd, w_bwd)
-    if chunk_size is not None or workers != 1:
-        return _chunked_update(x, y, w_fwd, w_bwd, d_out, d_in, lam,
-                               mode=mode, exact_b1=exact_b1, seed=seed,
-                               chunk_size=chunk_size, workers=workers)
-    if mode == "jacobi":
-        # one full-width chunk is the single-shot arithmetic, exactly
-        return _chunked_update(x, y, w_fwd, w_bwd, d_out, d_in, lam,
-                               mode="jacobi", exact_b1=exact_b1, seed=None,
-                               chunk_size=max(1, x.shape[0]), workers=1)
-    if mode != "sequential":
-        raise ParameterError(f"unknown update mode {mode!r}")
-    n, k_prime = x.shape
-    floor = 1.0 / n
-    agg = backward_aggregates(x, y, w_fwd, w_bwd, d_out)
-    xy = np.einsum("ij,ij->i", x, y)
-    wf2 = w_fwd * w_fwd
-
-    rng = ensure_rng(seed)
-    out = w_bwd.astype(np.float64).copy()
-    rho1 = agg.rho1.copy()
-    rho2 = agg.rho2.copy()
-    for v in rng.permutation(n):
-        yv = y[v]
-        xv = x[v]
-        xy_v = xy[v]
-        lam_yv = agg.lam_mat @ yv
-        y_lam_y = float(yv @ lam_yv)
-        a1 = float(agg.xi @ yv)
-        proj = float(agg.chi @ yv) - w_fwd[v] * xy_v
-        a2 = d_in[v] * proj
-        b2 = proj * proj
-        a3 = (float(rho1 @ lam_yv) - out[v] * y_lam_y - float(rho2 @ yv)
-              + out[v] * wf2[v] * xy_v * xy_v)
-        if exact_b1:
-            b1 = y_lam_y - wf2[v] * xy_v * xy_v
-        else:
-            b1 = 0.5 * k_prime * (float((yv * yv) @ agg.phi)
-                                  - wf2[v] * float(((yv * xv) ** 2).sum()))
-        new = _solve(a1 + a2 - a3, b1 + b2 + lam, floor)
-        delta = new - out[v]
-        if delta != 0.0:
-            rho1 += delta * yv                                   # Eq. (11)
-            rho2 += delta * wf2[v] * xy_v * xv
-            out[v] = new
-    return out
+    return _update(x, y, w_fwd, w_bwd, d_out, d_in, lam, mode=mode,
+                   exact_b1=exact_b1, seed=seed, chunk_size=chunk_size,
+                   workers=workers)
 
 
 def update_forward_weights(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
@@ -318,53 +267,12 @@ def update_forward_weights(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
 
     The forward sweep is the backward sweep with the roles of
     ``(x, w_fwd, d_out)`` and ``(y, w_bwd, d_in)`` exchanged, which is
-    how the chunked engine evaluates it.
+    how the engine evaluates it.
     """
     _check_inputs(x, y, w_fwd, w_bwd)
-    if chunk_size is not None or workers != 1:
-        return _chunked_update(y, x, w_bwd, w_fwd, d_in, d_out, lam,
-                               mode=mode, exact_b1=exact_b1, seed=seed,
-                               chunk_size=chunk_size, workers=workers)
-    if mode == "jacobi":
-        return _chunked_update(y, x, w_bwd, w_fwd, d_in, d_out, lam,
-                               mode="jacobi", exact_b1=exact_b1, seed=None,
-                               chunk_size=max(1, x.shape[0]), workers=1)
-    if mode != "sequential":
-        raise ParameterError(f"unknown update mode {mode!r}")
-    n, k_prime = x.shape
-    floor = 1.0 / n
-    agg = forward_aggregates(x, y, w_fwd, w_bwd, d_in)
-    xy = np.einsum("ij,ij->i", x, y)
-    wb2 = w_bwd * w_bwd
-
-    rng = ensure_rng(seed)
-    out = w_fwd.astype(np.float64).copy()
-    rho1 = agg.rho1.copy()
-    rho2 = agg.rho2.copy()
-    for u in rng.permutation(n):
-        xu = x[u]
-        yu = y[u]
-        xy_u = xy[u]
-        lam_xu = agg.lam_mat @ xu
-        x_lam_x = float(xu @ lam_xu)
-        a1 = float(agg.xi @ xu)
-        proj = float(agg.chi @ xu) - w_bwd[u] * xy_u
-        a2 = d_out[u] * proj
-        b2 = proj * proj
-        a3 = (float(rho1 @ lam_xu) - out[u] * x_lam_x - float(rho2 @ xu)
-              + out[u] * wb2[u] * xy_u * xy_u)
-        if exact_b1:
-            b1 = x_lam_x - wb2[u] * xy_u * xy_u
-        else:
-            b1 = 0.5 * k_prime * (float((xu * xu) @ agg.phi)
-                                  - wb2[u] * float(((xu * yu) ** 2).sum()))
-        new = _solve(a1 + a2 - a3, b1 + b2 + lam, floor)
-        delta = new - out[u]
-        if delta != 0.0:
-            rho1 += delta * xu                                   # Eq. (26)
-            rho2 += delta * wb2[u] * xy_u * yu
-            out[u] = new
-    return out
+    return _update(y, x, w_bwd, w_fwd, d_in, d_out, lam, mode=mode,
+                   exact_b1=exact_b1, seed=seed, chunk_size=chunk_size,
+                   workers=workers)
 
 
 # ----------------------------------------------------------------------

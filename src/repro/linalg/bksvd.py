@@ -10,8 +10,10 @@ The implementation follows Algorithm 2 of Musco & Musco:
 
 1. draw a Gaussian block ``Pi`` of ``k'`` columns,
 2. build the Krylov basis ``K = [A Pi, (A A^T) A Pi, ...]``
-   (each block QR-orthonormalized for numerical stability),
-3. orthonormalize ``K`` into ``Q``,
+   (each block QR-orthonormalized for numerical stability), written in
+   place into one preallocated Fortran-order array,
+3. orthonormalize ``K`` into ``Q`` by a QR that overwrites ``K``, so
+   the basis exists once in memory,
 4. eigendecompose the small matrix ``M = Q^T A A^T Q``,
 5. read off the top-``k'`` singular triplets.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from ..errors import ParameterError
 from ..rng import ensure_rng
@@ -85,18 +88,23 @@ def bksvd(matrix, rank: int, *, eps: float = 0.2,
         q = max(1, max_krylov_cols // rank - 1)
 
     omega = rng.standard_normal((d, rank))
+    basis = np.empty((n, rank * (q + 1)), order="F")
     block = matrix @ omega
-    block, _ = np.linalg.qr(block)
-    krylov = [block]
-    for _ in range(q):
-        block = matrix @ (matrix.T @ block)
+    for i in range(q + 1):
+        if i:
+            block = matrix @ (matrix.T @ block)
         block, _ = np.linalg.qr(block)
-        krylov.append(block)
-    basis, _ = np.linalg.qr(np.hstack(krylov))
+        basis[:, i * rank:(i + 1) * rank] = block
+    basis, _ = scipy.linalg.qr(basis, mode="economic", overwrite_a=True,
+                               check_finite=False)
 
-    # M = Q^T (A A^T) Q computed as W W^T with W = Q^T A.
-    w = (matrix.T @ basis).T if hasattr(matrix, "T") else basis.T @ matrix
-    w = np.asarray(w)
+    # M = Q^T (A A^T) Q computed as W W^T with W = Q^T A, one Krylov
+    # block of columns at a time: a block is copied to C order (what a
+    # sparse product reads) without copying the whole basis at once.
+    w = np.empty((basis.shape[1], d))
+    for start in range(0, basis.shape[1], rank):
+        cols = np.ascontiguousarray(basis[:, start:start + rank])
+        w[start:start + rank] = np.asarray(matrix.T @ cols).T
     small = w @ w.T
     eigvals, eigvecs = np.linalg.eigh(small)
     order = np.argsort(eigvals)[::-1][:rank]

@@ -2,7 +2,7 @@
 
 :class:`BlockSparseOperator` wraps a scipy CSR matrix and evaluates
 ``op @ dense`` one row-chunk at a time, optionally fanning the chunks
-out to worker processes. Two properties make it a drop-in replacement
+out to worker threads. Two properties make it a drop-in replacement
 for the raw matrix inside :func:`repro.linalg.bksvd` /
 :func:`repro.linalg.randomized_svd` (which only ever form matrix–block
 products):
@@ -26,16 +26,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DimensionError
-from ..parallel import parallel_map, payload
+from ..parallel import parallel_map
 from ..ppr.chunks import iter_chunks
 
 __all__ = ["BlockSparseOperator"]
 
 
-def _matmul_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    matrix, dense = payload()
-    start, stop = bounds
-    return np.asarray(matrix[start:stop] @ dense)
+def _matmul_chunk(block: tuple[int, int, sp.csr_matrix], dense: np.ndarray,
+                  out: np.ndarray) -> None:
+    start, stop, rows = block
+    out[start:stop] = rows @ dense
 
 
 class BlockSparseOperator:
@@ -48,7 +48,7 @@ class BlockSparseOperator:
     chunk_size:
         Rows per block (``None`` = package default grid).
     workers:
-        Worker processes for the chunk map; 1 = in-process.
+        Worker threads for the chunk map; 1 = in the calling thread.
     """
 
     def __init__(self, matrix, *, chunk_size: int | None = None,
@@ -56,6 +56,11 @@ class BlockSparseOperator:
         self._matrix = sp.csr_matrix(matrix)
         self.chunk_size = chunk_size
         self.workers = workers
+        # row blocks are sliced once: slicing per product costs more
+        # than the threads win on a graph-sized operand
+        self._blocks = [(start, stop, self._matrix[start:stop])
+                        for start, stop in iter_chunks(self.shape[0],
+                                                       chunk_size)]
         self._transpose: "BlockSparseOperator | None" = None
 
     # ------------------------------------------------------------------
@@ -90,13 +95,15 @@ class BlockSparseOperator:
             raise DimensionError(
                 f"operand of shape {dense.shape} does not match operator "
                 f"shape {self.shape}")
+        # C order once here: scipy would otherwise copy a strided
+        # operand into C order again for every chunk
+        dense = np.ascontiguousarray(dense)
         rows = self.shape[0]
-        bounds = list(iter_chunks(rows, self.chunk_size))
-        blocks = parallel_map(_matmul_chunk, bounds, workers=self.workers,
-                              payload=(self._matrix, dense))
-        if len(blocks) == 1:
-            return blocks[0]
-        return np.concatenate(blocks, axis=0)
+        out = np.empty((rows,) + dense.shape[1:],
+                       dtype=np.result_type(self.dtype, dense.dtype))
+        parallel_map(_matmul_chunk, self._blocks, dense, out,
+                     workers=self.workers)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BlockSparseOperator(shape={self.shape}, "

@@ -1,48 +1,38 @@
-"""Deterministic chunk-and-reduce process parallelism.
+"""Deterministic chunk map on a thread pool.
 
-The fit pipeline splits row-parallel work (PPR iterations, reweighting
-precomputation, Jacobi updates) into chunks and farms the chunks out to
-worker processes. Two properties are load-bearing and guaranteed here:
+The fit pipeline splits row-parallel work (sparse products, reweighting
+precomputation) into row chunks and maps a chunk function over them.
+Chunk functions receive their inputs as arguments and write their rows
+into a preallocated output, so no input is copied to a worker and no
+output is stitched together afterwards. The chunks run on threads: the
+heavy work inside them is NumPy BLAS and SciPy sparse kernels, which
+release the GIL, so the threads share the caller's arrays and overlap
+on real cores.
+
+Two properties are load-bearing and guaranteed here:
 
 * **Determinism regardless of worker count.** Chunk boundaries are a
   function of ``chunk_size`` alone (see :mod:`repro.ppr.chunks`), every
-  chunk is computed with the same arithmetic wherever it runs, and
-  results are reduced in chunk order — so the bits of the output never
-  depend on ``workers``.
-* **Zero input serialization.** Workers are forked (copy-on-write)
-  *after* the payload is staged in this module, so large matrices are
-  shared with the children for free; only the per-chunk results travel
-  back through a pipe. Fork is only used on Linux: macOS BLAS backends
-  (Accelerate) are not fork-safe once the parent has initialized its
-  thread pool, and Windows has no fork — both degrade to the
-  in-process loop, which produces the same bits.
+  chunk is computed with the same arithmetic on whichever thread runs
+  it, and results come back in task order — so the bits of the output
+  never depend on ``workers``.
+* **No thread outlives the call.** Each call opens its own pool and
+  joins it before returning; starting a thread costs far less than one
+  chunk of work.
 
 ``workers`` is capped at the number of usable cores: oversubscribing a
-machine only adds IPC overhead without changing results (the cap is why
-requesting ``workers=4`` on a single-core container costs nothing).
+machine only adds contention without changing results.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from .errors import ParameterError
 
-__all__ = ["available_cpus", "effective_workers", "parallel_map", "payload"]
-
-_PAYLOAD: Any = None
-
-
-def payload() -> Any:
-    """The payload staged by the current :func:`parallel_map` call.
-
-    Worker functions call this instead of receiving the (potentially
-    huge) shared arrays as pickled arguments.
-    """
-    return _PAYLOAD
+__all__ = ["available_cpus", "effective_workers", "parallel_map"]
 
 
 def available_cpus() -> int:
@@ -69,43 +59,18 @@ def effective_workers(workers: int, num_tasks: int | None = None) -> int:
     return max(1, capped)
 
 
-def _fork_context() -> mp.context.BaseContext | None:
-    # Fork-without-exec is only reliably safe on Linux: Accelerate (the
-    # BLAS numpy links on macOS) can hang or crash in forked children
-    # once the parent has used it, which is why CPython moved macOS to
-    # the spawn default. Spawn cannot share the staged payload, so on
-    # non-Linux platforms the caller falls back to the inline loop.
-    if not sys.platform.startswith("linux"):
-        return None
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        return None
+def parallel_map(fn: Callable[..., Any], tasks: Sequence[Any], *args: Any,
+                 workers: int = 1) -> list[Any]:
+    """Call ``fn(task, *args)`` for every task; results in task order.
 
-
-def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
-                 workers: int = 1, payload: Any = None,
-                 force_processes: bool = False) -> list[Any]:
-    """Apply ``fn`` to every task; results in task order.
-
-    ``fn`` must be a module-level function (it is sent to workers by
-    reference) that reads shared inputs via :func:`payload`. Tasks
-    should be small descriptors — chunk bounds, not arrays.
-
-    ``force_processes`` bypasses the CPU cap so the multiprocess path
-    can be exercised deterministically on any machine (used by tests).
+    ``workers > 1`` runs the calls on that many threads (capped by
+    :func:`effective_workers`). An exception raised by any call
+    propagates to the caller once the pool has been joined.
     """
-    global _PAYLOAD
     tasks = list(tasks)
-    nproc = effective_workers(workers, len(tasks))
-    if force_processes and workers > 1 and len(tasks) > 1:
-        nproc = min(int(workers), max(1, len(tasks)))
-    ctx = _fork_context()
-    _PAYLOAD = payload
-    try:
-        if nproc <= 1 or ctx is None:
-            return [fn(task) for task in tasks]
-        with ctx.Pool(processes=nproc) as pool:
-            return pool.map(fn, tasks)
-    finally:
-        _PAYLOAD = None
+    nthreads = effective_workers(workers, len(tasks))
+    if nthreads <= 1:
+        return [fn(task, *args) for task in tasks]
+    with ThreadPoolExecutor(max_workers=nthreads,
+                            thread_name_prefix="repro-chunk") as pool:
+        return list(pool.map(lambda task: fn(task, *args), tasks))

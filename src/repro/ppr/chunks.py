@@ -1,7 +1,7 @@
 """Shared row-chunk grid used by every chunked kernel in the package.
 
-The chunked fit pipeline (ApproxPPR power iterations, reweighting
-precomputation, Jacobi sweeps, block-sparse operator products) all
+The fit pipeline's chunked stages (block-sparse operator products for
+the SVD and the power iterations, reweighting precomputation) all
 partition node rows the same way: contiguous ``[start, stop)`` blocks of
 ``chunk_size`` rows. Centralizing the grid matters for determinism —
 results of a chunked computation are a function of the grid, so two
@@ -19,7 +19,7 @@ __all__ = ["DEFAULT_CHUNK_SIZE", "resolve_chunk_size", "iter_chunks",
            "num_chunks"]
 
 #: Default rows per chunk when the caller does not pin one. Large enough
-#: that per-chunk overhead (one IPC round trip, one BLAS call) amortizes,
+#: that per-chunk overhead (one task hand-off, one BLAS call) amortizes,
 #: small enough that a chunk of a 128-dim float64 embedding stays in the
 #: low tens of megabytes.
 DEFAULT_CHUNK_SIZE = 8192

@@ -75,8 +75,8 @@ class IncrementalPPR:
     config:
         The :class:`ApproxPPRConfig` of the base factorization; its
         ``alpha`` drives propagation decay, ``ell1`` caps repair sweeps,
-        and ``chunk_size``/``workers`` select the chunked propagation
-        engine (the same :mod:`repro.parallel` scheduling the fit
+        and ``chunk_size``/``workers`` shape the chunked propagation
+        products (the same :mod:`repro.parallel` chunk map the fit
         pipeline uses).
     state:
         A :class:`PPRFactorState` from :func:`approx_ppr_state` (or a
@@ -241,10 +241,8 @@ class IncrementalPPR:
         # buffers); a wide one scatters the deltas into a dense buffer
         # and runs one full CSR product. The crossover ~5% of nodes is
         # where per-arc gathering starts losing to the blocked product.
-        p_op = p_new
-        if cfg.chunked:
-            p_op = BlockSparseOperator(p_new, chunk_size=cfg.chunk_size,
-                                       workers=cfg.workers)
+        p_op = BlockSparseOperator(p_new, chunk_size=cfg.chunk_size,
+                                   workers=cfg.workers)
         n = self.num_nodes
         buffer = None    # O(n k') scratch; only the wide path needs it
         active_idx, active_delta = touched, delta

@@ -1,21 +1,25 @@
-"""Parity suite: the chunked/parallel fit pipeline vs the seed path.
+"""Parity suite: the fit engine vs the paper's per-node reweighting loop.
 
-Three guarantees are pinned here, matching the engine's contract:
+The per-node loops of Algorithms 2/4 live in ``reweighting_oracle.py``
+next to this file. Three guarantees are pinned here, matching the
+engine's contract:
 
-* the default configuration (``chunk_size=None, workers=1``) runs the
-  original single-pass path **bit-for-bit**;
-* the chunked engine is deterministic given ``seed`` regardless of
-  ``workers`` — worker counts 1/2/4 produce bit-identical embeddings;
-* the chunked trajectory tracks the seed path to ``<= 1e-8`` max abs
-  diff (the sparse products are bit-identical; the reweighting fast
-  path reassociates a handful of dot products, observed ``~1e-14``).
+* the engine tracks the oracle to ``<= 1e-8`` max abs diff, at the
+  defaults and for any chunk grid and worker count (the sparse products
+  are bit-identical; the reweighting recurrence reassociates a handful
+  of dot products, observed ``~1e-14``);
+* a fit is bit-identical for any ``workers`` (1/2/4);
+* ``chunk_size=None`` is :data:`repro.ppr.DEFAULT_CHUNK_SIZE`, bit for
+  bit.
 """
 
 import numpy as np
 import pytest
+from reweighting_oracle import fit_with_oracle
 
 from repro.core import (ApproxPPRConfig, ApproxPPREmbedder, NRP,
                         approx_ppr_embeddings)
+from repro.ppr import DEFAULT_CHUNK_SIZE
 
 PARITY_TOL = 1e-8
 
@@ -29,21 +33,26 @@ def _max_diff(a, b):
 
 
 @pytest.fixture(scope="module")
-def seed_models(small_undirected):
-    return {mode: _embeddings(NRP(dim=16, seed=0, update_mode=mode,
-                                  ell2=4).fit(small_undirected))
+def oracle_fits(small_undirected):
+    return {mode: fit_with_oracle(NRP(dim=16, seed=0, update_mode=mode,
+                                      ell2=4), small_undirected)
             for mode in ("sequential", "jacobi")}
+
+
+@pytest.fixture(scope="module")
+def oracle_embeddings(oracle_fits):
+    return {mode: _embeddings(model) for mode, model in oracle_fits.items()}
 
 
 @pytest.mark.parametrize("mode", ["sequential", "jacobi"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_chunked_fit_matches_seed_within_tolerance(small_undirected,
-                                                   seed_models, mode,
+                                                   oracle_embeddings, mode,
                                                    workers):
     chunked = _embeddings(NRP(dim=16, seed=0, update_mode=mode, ell2=4,
                               chunk_size=32, workers=workers,
                               ).fit(small_undirected))
-    assert _max_diff(chunked, seed_models[mode]) <= PARITY_TOL
+    assert _max_diff(chunked, oracle_embeddings[mode]) <= PARITY_TOL
 
 
 @pytest.mark.parametrize("mode", ["sequential", "jacobi"])
@@ -57,29 +66,55 @@ def test_chunked_fit_bit_identical_across_worker_counts(small_undirected,
         assert np.array_equal(runs[0][1], other[1])
 
 
-def test_default_config_is_bit_identical_to_seed_path(small_undirected,
-                                                      seed_models):
-    """workers=1, chunk_size=None is the original code path, exactly."""
-    again = _embeddings(NRP(dim=16, seed=0, ell2=4).fit(small_undirected))
-    assert np.array_equal(again[0], seed_models["sequential"][0])
-    assert np.array_equal(again[1], seed_models["sequential"][1])
+def test_default_fit_matches_oracle(small_undirected, oracle_fits):
+    """``NRP()`` at its defaults: weights and embeddings within 1e-8."""
+    model = NRP(dim=16, seed=0, ell2=4).fit(small_undirected)
+    oracle = oracle_fits["sequential"]
+    assert np.abs(model.w_fwd_ - oracle.w_fwd_).max() <= PARITY_TOL
+    assert np.abs(model.w_bwd_ - oracle.w_bwd_).max() <= PARITY_TOL
+    assert _max_diff(_embeddings(model), _embeddings(oracle)) <= PARITY_TOL
 
 
-def test_chunked_jacobi_is_bit_identical_to_seed_jacobi(small_undirected,
-                                                        seed_models):
-    """Jacobi is row-parallel, so chunking does not even reassociate."""
+def test_default_chunk_size_is_bit_identical_to_explicit(small_directed):
+    default = _embeddings(NRP(dim=16, seed=0, ell2=3).fit(small_directed))
+    explicit = _embeddings(NRP(dim=16, seed=0, ell2=3,
+                               chunk_size=DEFAULT_CHUNK_SIZE,
+                               ).fit(small_directed))
+    assert np.array_equal(default[0], explicit[0])
+    assert np.array_equal(default[1], explicit[1])
+
+
+def test_default_fit_bit_identical_across_workers():
+    """Big enough for three default chunks, so the threads do split it."""
+    from repro.graph import powerlaw_community
+    graph, _ = powerlaw_community(2 * DEFAULT_CHUNK_SIZE + 500, 50_000,
+                                  directed=True, seed=4)
+    runs = [NRP(dim=8, seed=0, ell2=1, workers=w).fit(graph)
+            for w in (1, 2, 4)]
+    for other in runs[1:]:
+        assert np.array_equal(runs[0].w_fwd_, other.w_fwd_)
+        assert np.array_equal(runs[0].w_bwd_, other.w_bwd_)
+        assert np.array_equal(runs[0].forward_, other.forward_)
+        assert np.array_equal(runs[0].backward_, other.backward_)
+
+
+def test_chunked_jacobi_is_bit_identical_to_seed_jacobi(small_undirected):
+    """Jacobi is row-parallel, so the chunk grid does not even
+    reassociate: 32-row chunks equal one full-width chunk."""
     chunked = _embeddings(NRP(dim=16, seed=0, update_mode="jacobi", ell2=4,
                               chunk_size=32, workers=2).fit(small_undirected))
-    assert np.array_equal(chunked[0], seed_models["jacobi"][0])
-    assert np.array_equal(chunked[1], seed_models["jacobi"][1])
+    whole = _embeddings(NRP(dim=16, seed=0, update_mode="jacobi", ell2=4,
+                            ).fit(small_undirected))
+    assert np.array_equal(chunked[0], whole[0])
+    assert np.array_equal(chunked[1], whole[1])
 
 
 @pytest.mark.parametrize("chunk_size", [7, 32, 1000])
-def test_parity_holds_across_chunk_grids(small_undirected, seed_models,
+def test_parity_holds_across_chunk_grids(small_undirected, oracle_embeddings,
                                          chunk_size):
     chunked = _embeddings(NRP(dim=16, seed=0, ell2=4, chunk_size=chunk_size,
                               ).fit(small_undirected))
-    assert _max_diff(chunked, seed_models["sequential"]) <= PARITY_TOL
+    assert _max_diff(chunked, oracle_embeddings["sequential"]) <= PARITY_TOL
 
 
 def test_parity_on_directed_graph_with_dangling_nodes():
@@ -90,7 +125,7 @@ def test_parity_on_directed_graph_with_dangling_nodes():
     dst = rng.integers(0, n, 400)
     g = from_edges(n, src, dst, directed=True)
     assert np.any(g.out_degrees == 0)
-    seed = _embeddings(NRP(dim=12, seed=3, ell2=3).fit(g))
+    seed = _embeddings(fit_with_oracle(NRP(dim=12, seed=3, ell2=3), g))
     for workers in (1, 2):
         chunked = _embeddings(NRP(dim=12, seed=3, ell2=3, chunk_size=16,
                                   workers=workers).fit(g))
@@ -119,15 +154,15 @@ def test_chunked_approx_ppr_embedder_matches_seed(small_directed):
 
 
 def test_chunked_rsvd_backend_matches_seed(small_undirected):
-    base = _embeddings(NRP(dim=16, seed=0, svd="rsvd", ell2=2,
-                           ).fit(small_undirected))
+    base = _embeddings(fit_with_oracle(NRP(dim=16, seed=0, svd="rsvd",
+                                           ell2=2), small_undirected))
     chunked = _embeddings(NRP(dim=16, seed=0, svd="rsvd", ell2=2,
                               chunk_size=40, workers=2).fit(small_undirected))
     assert _max_diff(chunked, base) <= PARITY_TOL
 
 
-def test_learned_weights_track_seed(small_undirected):
-    seed_model = NRP(dim=16, seed=0, ell2=4).fit(small_undirected)
+def test_learned_weights_track_seed(small_undirected, oracle_fits):
+    seed_model = oracle_fits["sequential"]
     chunked_model = NRP(dim=16, seed=0, ell2=4, chunk_size=32,
                         workers=2).fit(small_undirected)
     assert np.abs(seed_model.w_fwd_ - chunked_model.w_fwd_).max() <= PARITY_TOL

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reweighting_oracle import (oracle_backward_weights,
+                                oracle_forward_weights, solve)
 
 from repro.core import (backward_aggregates, forward_aggregates,
                         naive_backward_terms, naive_forward_terms,
                         reweighting_objective, update_backward_weights,
                         update_forward_weights)
-from repro.core.reweighting import _solve
 from repro.errors import DimensionError, ParameterError
+
+# the engine and the per-node oracle loop run the same sweep unit tests
+SWEEPS = {"engine": (update_backward_weights, update_forward_weights),
+          "oracle": (oracle_backward_weights, oracle_forward_weights)}
 
 
 def _fast_backward_terms(x, y, w_fwd, w_bwd, d_out, d_in, v):
@@ -146,39 +151,46 @@ def test_sequential_sweep_decreases_objective(random_embeddings):
     x, y, w_fwd, w_bwd, d_out, d_in = random_embeddings
     lam = 0.2
     before = reweighting_objective(x, y, w_fwd, w_bwd, d_out, d_in, lam)
-    bw = update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, lam,
-                                 exact_b1=True, seed=0)
-    mid = reweighting_objective(x, y, w_fwd, bw, d_out, d_in, lam)
-    fw = update_forward_weights(x, y, w_fwd, bw, d_out, d_in, lam,
-                                exact_b1=True, seed=0)
-    after = reweighting_objective(x, y, fw, bw, d_out, d_in, lam)
-    assert mid <= before + 1e-9
-    assert after <= mid + 1e-9
+    for backward, forward in SWEEPS.values():
+        bw = backward(x, y, w_fwd, w_bwd, d_out, d_in, lam, exact_b1=True,
+                      seed=0)
+        mid = reweighting_objective(x, y, w_fwd, bw, d_out, d_in, lam)
+        fw = forward(x, y, w_fwd, bw, d_out, d_in, lam, exact_b1=True,
+                     seed=0)
+        after = reweighting_objective(x, y, fw, bw, d_out, d_in, lam)
+        assert mid <= before + 1e-9
+        assert after <= mid + 1e-9
 
 
 def test_weights_respect_floor(random_embeddings):
     """Constraint of Eq. (6): every weight >= 1/n."""
     x, y, w_fwd, w_bwd, d_out, d_in = random_embeddings
     n = x.shape[0]
-    for mode in ("sequential", "jacobi"):
-        bw = update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, 0.1,
-                                     mode=mode, seed=1)
-        fw = update_forward_weights(x, y, w_fwd, bw, d_out, d_in, 0.1,
-                                    mode=mode, seed=1)
-        assert np.all(bw >= 1.0 / n - 1e-15)
-        assert np.all(fw >= 1.0 / n - 1e-15)
+    for backward, forward in SWEEPS.values():
+        for mode in ("sequential", "jacobi"):
+            bw = backward(x, y, w_fwd, w_bwd, d_out, d_in, 0.1, mode=mode,
+                          seed=1)
+            fw = forward(x, y, w_fwd, bw, d_out, d_in, 0.1, mode=mode,
+                         seed=1)
+            assert np.all(bw >= 1.0 / n - 1e-15)
+            assert np.all(fw >= 1.0 / n - 1e-15)
 
 
 def test_incremental_rho_matches_recompute(random_embeddings):
-    """Eq. (11): after a sequential sweep, rho recomputed from scratch on
-    the final weights equals what a fresh aggregate computation gives."""
+    """Eq. (11): a sweep that maintains rho incrementally lands where a
+    Gauss-Seidel sweep that recomputes every Eq. (7) term from the
+    current weights at each node lands."""
     x, y, w_fwd, w_bwd, d_out, d_in = random_embeddings
-    bw_new = update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, 0.3,
-                                     seed=2)
-    # rerun manually with incremental updates and compare final rho values
-    agg = backward_aggregates(x, y, w_fwd, bw_new, d_out)
-    expect_rho1 = bw_new @ y
-    np.testing.assert_allclose(agg.rho1, expect_rho1, rtol=1e-10)
+    n, lam = x.shape[0], 0.3
+    recomputed = w_bwd.copy()
+    for v in np.random.default_rng(2).permutation(n):
+        a1, a2, a3, b1, b2 = naive_backward_terms(x, y, w_fwd, recomputed,
+                                                  d_out, d_in, v)
+        recomputed[v] = solve(a1 + a2 - a3, b1 + b2 + lam, 1.0 / n)
+    for backward, _ in SWEEPS.values():
+        incremental = backward(x, y, w_fwd, w_bwd, d_out, d_in, lam,
+                               exact_b1=True, seed=2)
+        np.testing.assert_allclose(incremental, recomputed, rtol=1e-10)
 
 
 def test_jacobi_and_sequential_agree_for_single_node():
@@ -225,9 +237,9 @@ def test_update_rejects_bad_shapes():
 
 
 def test_solve_guards_zero_denominator():
-    assert _solve(5.0, 0.0, 0.25) == 0.25
-    assert _solve(-5.0, 1.0, 0.25) == 0.25
-    assert _solve(5.0, 2.0, 0.25) == 2.5
+    assert solve(5.0, 0.0, 0.25) == 0.25
+    assert solve(-5.0, 1.0, 0.25) == 0.25
+    assert solve(5.0, 2.0, 0.25) == 2.5
 
 
 @given(st.integers(2, 12), st.integers(1, 5),

@@ -115,3 +115,51 @@ def test_rsvd_vs_bksvd_on_noisy_matrix():
 def test_rsvd_rejects_bad_rank():
     with pytest.raises(ParameterError):
         randomized_svd(np.eye(4), 9)
+
+
+def _bksvd_hstack_reference(matrix, rank, seed):
+    """The list-of-blocks construction bksvd replaced: every Krylov block
+    kept in a list, joined by ``np.hstack`` and factored by
+    ``np.linalg.qr``. Same draws, same products, same read-off."""
+    n, d = matrix.shape
+    rng = np.random.default_rng(seed)
+    q = default_krylov_iterations(n, 0.2)
+    if rank * (q + 1) > 512:
+        q = max(1, 512 // rank - 1)
+    block, _ = np.linalg.qr(matrix @ rng.standard_normal((d, rank)))
+    krylov = [block]
+    for _ in range(q):
+        block, _ = np.linalg.qr(matrix @ (matrix.T @ block))
+        krylov.append(block)
+    basis, _ = np.linalg.qr(np.hstack(krylov))
+    w = np.asarray(matrix.T @ basis).T
+    eigvals, eigvecs = np.linalg.eigh(w @ w.T)
+    order = np.argsort(eigvals)[::-1][:rank]
+    sigma = np.sqrt(np.maximum(eigvals[order], 0.0))
+    u = basis @ eigvecs[:, order]
+    v = np.asarray(matrix.T @ u) / np.where(sigma > 1e-12, sigma, 1.0)
+    idx = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[idx, np.arange(rank)])
+    signs[signs == 0] = 1.0
+    return u * signs, sigma, v * signs
+
+
+@pytest.mark.parametrize("rank", [4, 8])
+def test_bksvd_in_place_basis_matches_hstack_construction(small_directed,
+                                                          rank):
+    """The in-place Fortran basis + overwriting QR changes no result."""
+    adjacency = small_directed.adjacency()
+    got = bksvd(adjacency, rank, seed=3)
+    want = _bksvd_hstack_reference(adjacency, rank, seed=3)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+def test_bksvd_basis_wider_than_matrix_matches_reference(fig1):
+    """rank * (q + 1) > n: the economic QR keeps only n columns."""
+    adjacency = fig1.adjacency()
+    u, s, v = bksvd(adjacency, 2, seed=0)
+    ru, rs, rv = _bksvd_hstack_reference(adjacency, 2, seed=0)
+    np.testing.assert_allclose(s, rs, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(u * s @ v.T, ru * rs @ rv.T, rtol=0,
+                               atol=1e-10)

@@ -89,9 +89,10 @@ SPECS: dict[str, dict] = {
         ],
     },
     "fit_scaling.json": {
-        "context": ["dim", "edge_factor", "chunk_size", "workers"],
+        "context": ["dim", "edge_factor", "workers", "available_cpus"],
         "metrics": [
-            ("rows.*.chunked_seconds", "lower", {"rel": 0.25}),
+            ("rows.*.default_seconds", "lower", {"rel": 0.25}),
+            ("rows.*.threaded_seconds", "lower", {"rel": 0.25}),
         ],
     },
 }
