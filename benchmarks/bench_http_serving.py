@@ -1,23 +1,25 @@
-"""HTTP serving latency: dynamic micro-batching vs unbatched (PR-7).
+"""HTTP serving latency: work-conserving micro-batching vs unbatched.
 
 Boots the real asyncio HTTP server (:mod:`repro.serving.http`) over one
 embedding database (default 20k nodes x 64 dims) and storms it with
 keep-alive socket clients at several concurrency levels, twice per
 level:
 
-* **batched** — the production config (``max_batch=64``,
-  ``max_delay=2ms``): concurrent scalar top-k requests coalesce into
-  tall GEMMs;
-* **unbatched** — ``max_batch=1, max_delay=0``: every request pays for
-  its own skinny engine call, the sequential baseline.
+* **batched** — the production config (``max_batch=64``): a request
+  that finds its model idle is dispatched at once, and requests that
+  arrive while a call is in flight coalesce into the next tall GEMM;
+* **unbatched** — ``max_batch=1``: every request pays for its own
+  skinny engine call, the sequential baseline.
 
 Per (mode, concurrency) it records p50/p99 request latency, requests/s,
 and the mean observed engine batch size from the
 ``serving_topk_batch_size`` histogram. Everything lands in
 ``benchmarks/results/http_serving.json`` for CI's slow job to archive
-next to the other serving artifacts; the acceptance assert — batched
-p99 <= unbatched p99 at concurrency >= 16, with mean batch size > 1 —
-fires at full benchmark scale.
+next to the other serving artifacts. The acceptance asserts fire at
+full benchmark scale: batched p99 <= unbatched p99 at concurrency
+>= 16, with mean batch size > 1 (coalescing happens, and it pays), and
+batched p50 <= unbatched p50 at 4 clients (batching adds no wait at
+light load).
 
 Runnable standalone (``python benchmarks/bench_http_serving.py``) or
 via pytest (marked ``slow``).
@@ -54,12 +56,17 @@ DIM = 64
 K = 10
 STORM_SECONDS = 1.5
 CONCURRENCY_LEVELS = (4, 16, 32)
+# At 4 clients batched and unbatched p50 are within ~10% of each other
+# (batches hold ~2 requests), so one storm per mode is a coin flip on a
+# noisy host: that level is stormed this many times per mode,
+# alternating, and each mode keeps its median-p50 storm.
+LIGHT_LOAD, LIGHT_REPEATS = 4, 3
 SEED = 0
 RESULTS_PATH = Path(__file__).parent / "results" / "http_serving.json"
 
 CONFIGS = {
-    "batched": dict(max_batch=64, max_delay=0.002),
-    "unbatched": dict(max_batch=1, max_delay=0.0),
+    "batched": dict(max_batch=64),
+    "unbatched": dict(max_batch=1),
 }
 
 
@@ -121,8 +128,14 @@ def run_bench(scale: float | None = None) -> dict:
     rows = []
     by_concurrency = {}
     for concurrency in CONCURRENCY_LEVELS:
-        level = {mode: _measure(source, mode, concurrency)
-                 for mode in CONFIGS}
+        repeats = LIGHT_REPEATS if concurrency == LIGHT_LOAD else 1
+        runs = {mode: [] for mode in CONFIGS}
+        for i in range(repeats):
+            for mode in (list(CONFIGS) if i % 2 == 0
+                         else list(CONFIGS)[::-1]):
+                runs[mode].append(_measure(source, mode, concurrency))
+        level = {mode: sorted(found, key=lambda r: r["p50_ms"])[
+                     len(found) // 2] for mode, found in runs.items()}
         level["p99_speedup"] = round(
             level["unbatched"]["p99_ms"]
             / max(level["batched"]["p99_ms"], 1e-9), 2)
@@ -158,6 +171,13 @@ def test_http_batching_beats_sequential():
         assert level["batched"]["requests"] > 0
         assert level["unbatched"]["requests"] > 0
     if record["num_nodes"] >= 10_000:
+        # light load: a work-conserving batcher dispatches an idle
+        # model's request at once, so batching must not cost latency
+        light = record["by_concurrency"][str(LIGHT_LOAD)]
+        assert light["batched"]["p50_ms"] <= light["unbatched"]["p50_ms"], (
+            f"batched p50 {light['batched']['p50_ms']}ms worse than "
+            f"unbatched {light['unbatched']['p50_ms']}ms at {LIGHT_LOAD} "
+            f"clients")
         for concurrency in (c for c in CONCURRENCY_LEVELS if c >= 16):
             level = record["by_concurrency"][str(concurrency)]
             # the acceptance criteria: coalescing happens, and it pays

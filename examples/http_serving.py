@@ -10,8 +10,8 @@ The network end of the offline-to-online hand-off, in five acts:
 3. talk plain HTTP to it: ``/healthz``, ``/v1/models``, scalar and
    batched ``topk``, broadcast ``score``,
 4. storm it from concurrent keep-alive clients and read
-   ``/metrics`` to watch the dynamic micro-batcher coalesce the
-   storm into shared engine calls,
+   ``/metrics`` to watch the work-conserving micro-batcher coalesce
+   the requests that queue behind an in-flight engine call,
 5. publish version 2 and hot-swap the live model mid-traffic —
    zero dropped requests, responses flip to the new version.
 
@@ -69,12 +69,10 @@ def main() -> None:
     # --- act 2: boot the HTTP tier -------------------------------------
     registry = ServingRegistry()
     registry.register("nrp", open_current(root))
-    config = HTTPServingConfig(max_batch=64, max_delay=0.002,
-                               max_queue=1024)
+    config = HTTPServingConfig(max_batch=64, max_queue=1024)
     server = ServingHTTPServer(registry, config=config).start(port=0)
     print(f"Serving on http://127.0.0.1:{server.port}  "
-          f"(max_batch={config.max_batch}, "
-          f"max_delay={config.max_delay * 1e3:.0f}ms)")
+          f"(max_batch={config.max_batch}, max_queue={config.max_queue})")
 
     try:
         # --- act 3: the routes -----------------------------------------

@@ -10,8 +10,8 @@ The observability end of the HTTP tier, in four acts:
    server join the caller's trace: the response echoes the inherited
    trace id in ``x-trace-id`` and a fresh ``traceparent``; a malformed
    header starts a new trace instead of failing the request,
-3. storm the server from concurrent clients so the micro-batcher
-   coalesces strangers into shared batches, then read
+3. storm the server from concurrent clients so requests queued
+   behind an in-flight engine call share the next batch, then read
    ``/debug/traces`` — every sampled tree shows the
    ``http.request -> http.queue -> http.batch -> serving.engine``
    chain, and the batch span lists the trace ids of every request
@@ -94,8 +94,7 @@ def main() -> None:
     registry.register("nrp", model.to_serving())
     access_buffer = io.StringIO()
     access_log = obs.RequestLogger(access_buffer, buffer_lines=1)
-    config = HTTPServingConfig(max_batch=64, max_delay=0.002,
-                               trace_sample=1.0)
+    config = HTTPServingConfig(max_batch=64, trace_sample=1.0)
     server = ServingHTTPServer(registry, config=config,
                                access_log=access_log).start(port=0)
     print(f"Serving on http://127.0.0.1:{server.port} "

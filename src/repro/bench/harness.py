@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,18 @@ def fit_timed(embedder: Embedder, graph: Graph) -> FitResult:
     return FitResult(embedder, seconds)
 
 
+def split_seed(name: str, seed: int = 0) -> int:
+    """Seed of a dataset's link-prediction split: ``seed`` offset by a
+    digest of ``name``. ``zlib.crc32``, not ``hash``: ``str`` hashes are
+    salted per process, which made figure cells differ between runs."""
+    return seed + zlib.crc32(name.encode("utf-8")) % 1000
+
+
 def link_prediction_auc(method: str, dataset: Dataset, dim: int, *,
                         seed: int = 0, test_fraction: float = 0.3,
                         ) -> tuple[float, float]:
     """(AUC, fit seconds) for one method on one dataset's LP split."""
-    split_rng, eval_rng = spawn_rngs(seed + hash(dataset.name) % 1000, 2)
+    split_rng, eval_rng = spawn_rngs(split_seed(dataset.name, seed), 2)
     split = link_prediction_split(dataset.graph, test_fraction=test_fraction,
                                   seed=split_rng)
     fitted = fit_timed(build_method(method, dim, seed=seed),

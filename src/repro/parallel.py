@@ -22,17 +22,24 @@ Two properties are load-bearing and guaranteed here:
 
 ``workers`` is capped at the number of usable cores: oversubscribing a
 machine only adds contention without changing results.
+
+:func:`limit_blas_threads` caps OpenBLAS's own thread pool for a span of
+time (process-wide), for callers that bring their own parallelism.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ParameterError
 
-__all__ = ["available_cpus", "effective_workers", "parallel_map"]
+__all__ = ["available_cpus", "effective_workers", "limit_blas_threads",
+           "parallel_map"]
 
 
 def available_cpus() -> int:
@@ -74,3 +81,72 @@ def parallel_map(fn: Callable[..., Any], tasks: Sequence[Any], *args: Any,
     with ThreadPoolExecutor(max_workers=nthreads,
                             thread_name_prefix="repro-chunk") as pool:
         return list(pool.map(lambda task: fn(task, *args), tasks))
+
+
+# Symbol names of OpenBLAS's thread-count API: NumPy/SciPy wheels bundle
+# a prefixed 64-bit-int build, system builds export the plain names.
+_BLAS_API = (("scipy_openblas_get_num_threads64_",
+              "scipy_openblas_set_num_threads64_"),
+             ("openblas_get_num_threads", "openblas_set_num_threads"))
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_limit = 0
+_blas_saved: list[tuple[Callable, int]] = []
+
+
+def _openblas_pools() -> list[tuple[Callable, Callable]]:
+    """``(get, set)`` thread-count calls of each OpenBLAS in this process.
+
+    Found through ``/proc/self/maps``; empty where that does not exist
+    or no OpenBLAS is loaded (other BLAS builds are left alone).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:                   # pragma: no cover - non-Linux
+        return []
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:               # pragma: no cover - unmapped since
+            continue
+        for get, set_ in _BLAS_API:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                pools.append((getattr(lib, get), getattr(lib, set_)))
+                break
+    return pools
+
+
+@contextmanager
+def limit_blas_threads(threads: int) -> Iterator[None]:
+    """Run OpenBLAS on at most ``threads`` threads inside the block.
+
+    The limit is process-wide (OpenBLAS has one pool per library), so
+    nested or concurrent holders share it: the first one in records the
+    pools' sizes, the smallest limit held applies, and the last one out
+    restores the sizes. A no-op where no OpenBLAS is found.
+    """
+    global _blas_holders, _blas_limit
+    if int(threads) != threads or threads < 1:
+        raise ParameterError(f"threads must be a positive integer, "
+                             f"got {threads!r}")
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved[:] = [(set_, get()) for get, set_ in
+                              _openblas_pools()]
+        _blas_limit = (int(threads) if _blas_holders == 0
+                       else min(_blas_limit, int(threads)))
+        _blas_holders += 1
+        for set_, saved in _blas_saved:
+            set_(min(_blas_limit, saved))
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_, saved in _blas_saved:
+                    set_(saved)
+                _blas_saved.clear()

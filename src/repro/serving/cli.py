@@ -109,9 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-batch", type=int, default=64,
                          help="source nodes coalesced into one engine "
                               "call (default 64)")
-    p_serve.add_argument("--max-delay", type=float, default=0.002,
-                         help="seconds the first request of a batch "
-                              "waits for company (default 0.002)")
     p_serve.add_argument("--max-queue", type=int, default=1024,
                          help="pending requests before 429s "
                               "(default 1024)")
@@ -263,8 +260,8 @@ def _cmd_serve(args) -> int:
     registry = ServingRegistry()
     registry.register(name, store, **_serve_engine_options(args, store))
     config = HTTPServingConfig(
-        max_batch=args.max_batch, max_delay=args.max_delay,
-        max_queue=args.max_queue, default_deadline=args.deadline,
+        max_batch=args.max_batch, max_queue=args.max_queue,
+        default_deadline=args.deadline,
         trace_sample=args.trace_sample)
     access_log = (RequestLogger.to_path(
         args.access_log, max_per_second=config.access_log_per_second)

@@ -139,7 +139,7 @@ class QueryEngine:
         return self._queries.shape[0]
 
     # ------------------------------------------------------------------
-    def topk(self, src_nodes, k: int = 10,
+    def topk(self, src_nodes, k=10,
              ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` neighbors by proximity score for each source node.
 
@@ -148,6 +148,12 @@ class QueryEngine:
         result is ``(indices, scores)`` sorted by descending score; with
         the exact backend the indices match
         ``argsort(-score_all_from(src))[:k]``.
+
+        ``k`` may also be one value per source node (a 1-D sequence as
+        long as ``src_nodes``): the result is as wide as the largest,
+        and row ``i`` holds its top ``k[i]`` followed by index ``-1`` /
+        score ``-inf``. Each row reads and fills the cache at its own
+        ``k``, so a request batched with wider peers keeps its entries.
         """
         if not obs.enabled():
             return self._topk(src_nodes, k)
@@ -182,13 +188,22 @@ class QueryEngine:
         self._obs_series = (registry.generation, handles)
         return handles
 
-    def _topk(self, src_nodes, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k < 1:
-            raise ParameterError("k must be >= 1")
+    def _topk(self, src_nodes, k) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.atleast_1d(np.asarray(src_nodes, dtype=np.int64))
         scalar = np.isscalar(src_nodes) or getattr(src_nodes, "ndim", 1) == 0
         if nodes.ndim != 1:
             raise ParameterError("src_nodes must be a scalar or 1-D")
+        row_k = None                    # per-row k, or None: k for all
+        if np.ndim(k):
+            row_k = np.asarray(k, dtype=np.int64)
+            if row_k.shape != nodes.shape:
+                raise ParameterError(
+                    "a per-node k must have one entry per source node")
+            k = int(row_k.max(initial=1))
+            if row_k.size and row_k.min() < 1:
+                raise ParameterError("k must be >= 1")
+        if k < 1:
+            raise ParameterError("k must be >= 1")
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
             raise ParameterError(
                 f"src node out of range [0, {self.num_nodes})")
@@ -203,13 +218,18 @@ class QueryEngine:
             with self._cache_lock:
                 self._misses += len(nodes)
             out_ids, out_scores = self.index.search(self._queries[nodes], k)
+            if row_k is not None:
+                beyond = np.arange(out_ids.shape[1]) >= row_k[:, None]
+                out_ids[beyond], out_scores[beyond] = -1, -np.inf
             if scalar:
                 return out_ids[0], out_scores[0]
             return out_ids, out_scores
+        k_at = (lambda pos: k) if row_k is None else \
+            (lambda pos: int(row_k[pos]))
         missing: list[int] = []
         cached: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for pos, node in enumerate(nodes):
-            entry = self._cache_get(int(node), k)
+            entry = self._cache_get(int(node), k_at(pos))
             if entry is None:
                 missing.append(pos)
             else:
@@ -217,18 +237,33 @@ class QueryEngine:
         if missing:
             # dedupe: a hot node repeated in one batch is searched once
             uniq, inverse = np.unique(nodes[missing], return_inverse=True)
-            ids, scores = self.index.search(self._queries[uniq], k)
-            # copy: a cached row must not pin the whole batch result
-            entries = [(ids[row].copy(), scores[row].copy())
-                       for row in range(len(uniq))]
-            for node, entry in zip(uniq, entries):
-                self._cache_put(int(node), k, entry)
+            ids, scores = self.index.search(
+                self._queries[uniq], max(k_at(pos) for pos in missing))
+            entries: dict[tuple[int, int], tuple] = {}
             for j, pos in enumerate(missing):
-                cached[pos] = entries[inverse[j]]
-        # np.stack allocates fresh arrays, so callers can't corrupt the
-        # cached rows; only the scalar path needs an explicit copy.
-        out_ids = np.stack([cached[p][0] for p in range(len(nodes))])
-        out_scores = np.stack([cached[p][1] for p in range(len(nodes))])
+                row, row_width = int(inverse[j]), k_at(pos)
+                entry = entries.get((row, row_width))
+                if entry is None:
+                    # copy: a cached row must not pin the batch result
+                    entry = entries[row, row_width] = (
+                        ids[row, :row_width].copy(),
+                        scores[row, :row_width].copy())
+                    self._cache_put(int(uniq[row]), row_width, entry)
+                cached[pos] = entry
+        if row_k is None:
+            # np.stack allocates fresh arrays, so callers can't corrupt
+            # the cached rows; only the scalar path needs a copy.
+            out_ids = np.stack([cached[p][0] for p in range(len(nodes))])
+            out_scores = np.stack([cached[p][1]
+                                   for p in range(len(nodes))])
+        else:                           # narrower rows padded -1 / -inf
+            width = min(k, self.index.num_items)
+            out_ids = np.full((len(nodes), width), -1, np.int64)
+            out_scores = np.full((len(nodes), width), -np.inf,
+                                 cached[0][1].dtype)
+            for pos, (row_ids, row_scores) in cached.items():
+                out_ids[pos, :len(row_ids)] = row_ids
+                out_scores[pos, :len(row_scores)] = row_scores
         if scalar:
             return out_ids[0].copy(), out_scores[0].copy()
         return out_ids, out_scores

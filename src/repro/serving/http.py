@@ -18,15 +18,18 @@ serve real sockets. Routes:
 * ``GET  /debug/vars`` — config, models, batcher/queue state, and a
   metrics snapshot in one JSON document.
 
-The core is the **dynamic micro-batcher**: concurrent ``topk`` requests
-for the same ``(model, k)`` land on one :class:`asyncio.Queue`, and a
-collector task coalesces them — up to ``max_batch`` source nodes or
-``max_delay`` seconds, whichever first — into *one*
-:meth:`~repro.serving.engine.QueryEngine.topk` call on a worker thread.
-One coalesced call is one tall GEMM instead of many skinny ones, which
-is exactly the throughput lever the batched kernels and the sharded
-router already cash in; the batcher extends it across HTTP clients that
-never heard of each other.
+The core is the **work-conserving micro-batcher**, one per model: when
+no batch of the model is in flight, the collector dispatches whatever
+is queued (up to ``max_batch`` source nodes) at once; while one is, new
+requests pile up and ride the next batch, whatever their ``k``. A lone
+request never waits on a timer, and batch size follows load
+(Clipper-style adaptive batching). A batch is *one*
+:meth:`~repro.serving.engine.QueryEngine.topk` call — one tall GEMM on
+the model's own thread — with one ``k`` per source node, so each
+request gets (and caches) rows at its own ``k``. While the server runs,
+OpenBLAS is held to one thread (:func:`~repro.parallel.limit_blas_threads`):
+a multi-threaded GEMM under load stalls on whichever BLAS worker the OS
+has not scheduled yet.
 
 Production concerns are first-class:
 
@@ -80,7 +83,7 @@ from ..errors import ParameterError, ReproError
 from ..obs import requestctx
 from ..obs.requestlog import RequestLogger, TraceRing
 from ..obs.tracing import Span
-from ..parallel import available_cpus
+from ..parallel import limit_blas_threads
 from .registry import ServingRegistry
 
 __all__ = ["HTTPServingConfig", "ServingHTTPServer"]
@@ -89,8 +92,8 @@ __all__ = ["HTTPServingConfig", "ServingHTTPServer"]
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             429: "Too Many Requests", 431: "Request Header Fields Too Large",
-            500: "Internal Server Error", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
+            500: "Internal Server Error", 501: "Not Implemented",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
 
 
 @dataclass(frozen=True)
@@ -98,13 +101,11 @@ class HTTPServingConfig:
     """Knobs of the HTTP tier (validated once, immutable afterwards).
 
     ``max_batch`` caps the *source nodes* coalesced into one engine
-    call; ``max_delay`` bounds how long the first request of a batch
-    waits for company (the latency the batcher may add); ``max_queue``
-    bounds pending requests before admissions turn into 429s;
-    ``default_deadline`` is the per-request deadline when the client
-    does not send ``"timeout"``; ``retry_after`` is the hint attached
-    to 429 responses; ``max_body`` bounds request bodies; ``workers``
-    sizes the thread pool engine calls run on (None: CPU-capped).
+    call (1 turns batching off); ``max_queue`` bounds pending requests
+    before admissions turn into 429s; ``default_deadline`` is the
+    per-request deadline when the client does not send ``"timeout"``;
+    ``retry_after`` is the hint attached to 429 responses;
+    ``max_body`` bounds request bodies.
 
     Tracing knobs: ``trace_sample`` is the head-sampling rate for
     requests that *start* a trace here (propagated ``traceparent``
@@ -115,12 +116,10 @@ class HTTPServingConfig:
     """
 
     max_batch: int = 64
-    max_delay: float = 0.002
     max_queue: int = 1024
     default_deadline: float = 2.0
     retry_after: float = 0.05
     max_body: int = 1 << 20
-    workers: int | None = None
     trace_sample: float = 1.0
     trace_ring: int = 256
     access_log_per_second: float = 500.0
@@ -128,8 +127,6 @@ class HTTPServingConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ParameterError("max_batch must be >= 1")
-        if self.max_delay < 0:
-            raise ParameterError("max_delay must be >= 0")
         if self.max_queue < 1:
             raise ParameterError("max_queue must be >= 1")
         if self.default_deadline <= 0:
@@ -138,11 +135,6 @@ class HTTPServingConfig:
             raise ParameterError("retry_after must be >= 0")
         if self.max_body < 1:
             raise ParameterError("max_body must be >= 1")
-        if self.workers is not None and (int(self.workers) != self.workers
-                                         or self.workers < 1):
-            raise ParameterError(
-                f"workers must be a positive integer or None, "
-                f"got {self.workers!r}")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ParameterError("trace_sample must be in [0, 1]")
         if self.trace_ring < 1:
@@ -165,6 +157,7 @@ class _Deadline(Exception):
     """A queued request's deadline passed before its batch dispatched."""
 
 
+@dataclass(slots=True)
 class _TopkRequest:
     """One admitted top-k request waiting in a batcher queue.
 
@@ -175,77 +168,59 @@ class _TopkRequest:
     into the request's tree), and the enqueue timestamps.
     """
 
-    __slots__ = ("nodes", "future", "deadline", "ctx", "span",
-                 "enqueued_mono", "enqueued_wall")
-
-    def __init__(self, nodes: np.ndarray, future: asyncio.Future,
-                 deadline: float, *,
-                 ctx: "requestctx.TraceContext | None" = None,
-                 span: Span | None = None,
-                 enqueued_mono: float = 0.0,
-                 enqueued_wall: float = 0.0) -> None:
-        self.nodes = nodes
-        self.future = future
-        self.deadline = deadline
-        self.ctx = ctx
-        self.span = span
-        self.enqueued_mono = enqueued_mono
-        self.enqueued_wall = enqueued_wall
+    nodes: np.ndarray
+    k: int
+    future: asyncio.Future
+    deadline: float
+    ctx: "requestctx.TraceContext | None" = None
+    span: Span | None = None
+    enqueued_mono: float = 0.0
+    enqueued_wall: float = 0.0
 
 
 class _Batcher:
-    """Coalesce concurrent top-k requests for one ``(model, k)`` pair.
+    """Coalesce concurrent top-k requests for one model, work-conserving.
 
     A single collector task owns the queue: it blocks for the first
-    request, then keeps draining — waiting out at most ``max_delay``
-    seconds — until ``max_batch`` source nodes are on board, and hands
-    the batch to the server for one engine call. Requests for different
-    ``(model, k)`` pairs never share a BLAS call (a batched ``topk``
-    has one ``k``), so each pair gets its own batcher, created lazily.
+    request, takes whatever else is queued — up to ``max_batch`` source
+    nodes — and awaits that batch's engine call before it collects
+    again. All the model's engine calls (``/score`` too) run on one
+    thread of its own: back-to-back submits to a shared pool start a
+    second thread, with its own allocator arena and BLAS buffers.
     """
 
-    def __init__(self, server: "ServingHTTPServer", model: str,
-                 k: int) -> None:
+    def __init__(self, server: "ServingHTTPServer", model: str) -> None:
         self.server = server
         self.model = model
-        self.k = k
         self.queue: asyncio.Queue[_TopkRequest] = asyncio.Queue()
         self.busy = False
+        self.executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"http-batch-{model}")
         # The batcher outlives the request that lazily created it, so
         # its task must start from an *empty* context — created inside
         # the creating request's context it would inherit that request's
         # live span and parent every later batch under a finished tree.
         loop = asyncio.get_running_loop()
         self.task = contextvars.Context().run(
-            loop.create_task, self._run(), name=f"batcher-{model}-k{k}")
+            loop.create_task, self._run(), name=f"batcher-{model}")
 
     async def _run(self) -> None:
-        config = self.server.config
-        loop = asyncio.get_running_loop()
+        max_batch = self.server.config.max_batch
         while True:
-            first = await self.queue.get()
-            batch = [first]
-            total = len(first.nodes)
-            flush_at = loop.time() + config.max_delay
-            while total < config.max_batch:
-                try:
-                    item = self.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = flush_at - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(self.queue.get(),
-                                                      remaining)
-                    except asyncio.TimeoutError:
-                        break
-                batch.append(item)
-                total += len(item.nodes)
+            batch = [await self.queue.get()]
+            total = len(batch[0].nodes)
+            while total < max_batch and not self.queue.empty():
+                batch.append(self.queue.get_nowait())
+                total += len(batch[-1].nodes)
             self.busy = True
             try:
-                await self.server._dispatch(self.model, self.k, batch)
+                await self.server._dispatch(self.model, batch)
             finally:
                 self.busy = False
+
+    def close(self) -> None:
+        self.task.cancel()
+        self.executor.shutdown(wait=False)
 
 
 class ServingHTTPServer:
@@ -276,10 +251,7 @@ class ServingHTTPServer:
         self.traces = TraceRing(self.config.trace_ring)
         self.access_log = access_log
         self._started_at = time.time()
-        workers = self.config.workers or min(4, available_cpus())
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="http-serve")
-        self._batchers: dict[tuple[str, int], _Batcher] = {}
+        self._batchers: dict[str, _Batcher] = {}
         self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._pending = 0
         self._closing = False
@@ -332,7 +304,6 @@ class ServingHTTPServer:
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
-        self._executor.shutdown(wait=False)
         if close_registry:
             self.registry.close()
 
@@ -360,17 +331,18 @@ class ServingHTTPServer:
         self.host, self.port = sockname[0], sockname[1]
         if _ready is not None:
             _ready.set()
+        reaper = asyncio.create_task(self._reap_batchers())
         try:
-            async with server:
-                await self._stop_event.wait()
-                self._closing = True
-                server.close()
-                await server.wait_closed()
-                await self._drain()
+            with limit_blas_threads(1):
+                async with server:
+                    await self._stop_event.wait()
+                    self._closing = True
+                    server.close()
+                    await server.wait_closed()
+                    await self._drain()
         finally:
             self._closing = True
-            for batcher in self._batchers.values():
-                batcher.task.cancel()
+            reaper.cancel()
             # Close idle keep-alive connections so their handler tasks
             # exit on EOF before the loop tears down — cancellation
             # would be noisy (3.11's streams wrapper logs it) and rude.
@@ -379,6 +351,8 @@ class ServingHTTPServer:
                 conn_writer.close()
             if conns:
                 await asyncio.wait(set(conns), timeout=5.0)
+            for batcher in self._batchers.values():
+                batcher.close()
 
     async def _drain(self, timeout: float = 5.0) -> None:
         """Let queued batches finish before the loop exits."""
@@ -389,6 +363,22 @@ class ServingHTTPServer:
                        for b in self._batchers.values()):
                 return
             await asyncio.sleep(0.01)
+
+    async def _reap_batchers(self) -> None:
+        """Each second, retire idle batchers of unregistered models."""
+        while True:
+            await asyncio.sleep(1.0)
+            for model, batcher in list(self._batchers.items()):
+                if (model not in self.registry and not batcher.busy
+                        and batcher.queue.empty()):
+                    del self._batchers[model]
+                    batcher.close()
+
+    def _batcher(self, model: str) -> _Batcher:
+        batcher = self._batchers.get(model)
+        if batcher is None:
+            batcher = self._batchers[model] = _Batcher(self, model)
+        return batcher
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -425,27 +415,29 @@ class ServingHTTPServer:
                 raise
             return False               # clean EOF between requests
         except asyncio.LimitOverrunError:
-            await self._write(writer, 431,
-                              self._error_body("request headers too large"),
-                              keep_alive=False)
-            return False
+            return await self._refuse(writer, 431,
+                                      "request headers too large")
         try:
             method, path, headers, keep_alive = _parse_head(head)
         except ValueError as exc:
-            await self._write(writer, 400, self._error_body(str(exc)),
-                              keep_alive=False)
-            return False
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > self.config.max_body:
-            await self._write(writer, 413,
-                              self._error_body(
-                                  f"request body must be 0..."
-                                  f"{self.config.max_body} bytes"),
-                              keep_alive=False)
-            return False
+            return await self._refuse(writer, 400, str(exc))
+        bodiless = method == "HEAD"     # RFC 9110 §9.3.2
+        # Bodies are framed by content-length only (RFC 9112 §6-7): any
+        # other framing would leave body bytes to parse as a request.
+        if "transfer-encoding" in headers:
+            return await self._refuse(
+                writer, 501, "transfer-encoding is not supported; send "
+                             "content-length", bodiless)
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            return await self._refuse(
+                writer, 400, f"malformed content-length {length!r}",
+                bodiless)
+        length = int(length)
+        if length > self.config.max_body:
+            return await self._refuse(
+                writer, 413, f"request body must be 0..."
+                             f"{self.config.max_body} bytes", bodiless)
         body = await reader.readexactly(length) if length else b""
 
         start = time.perf_counter()
@@ -512,7 +504,7 @@ class ServingHTTPServer:
                  "traceparent": requestctx.format_traceparent(ctx)}
         await self._write(writer, status, payload,
                           content_type=content_type, extra=extra,
-                          keep_alive=keep_alive)
+                          keep_alive=keep_alive, bodiless=bodiless)
         return keep_alive
 
     def _request_context(self, headers: dict) -> "requestctx.TraceContext":
@@ -536,11 +528,19 @@ class ServingHTTPServer:
     def _error_body(message: str) -> bytes:
         return json.dumps({"error": message}).encode("utf-8")
 
+    async def _refuse(self, writer: asyncio.StreamWriter, status: int,
+                      message: str, bodiless: bool = False) -> bool:
+        """Answer a request that cannot be framed or read, and close."""
+        await self._write(writer, status, self._error_body(message),
+                          keep_alive=False, bodiless=bodiless)
+        return False
+
     async def _write(self, writer: asyncio.StreamWriter, status: int,
                      payload: bytes, *,
                      content_type: str = "application/json",
                      extra: dict | None = None,
-                     keep_alive: bool = True) -> None:
+                     keep_alive: bool = True,
+                     bodiless: bool = False) -> None:
         reason = _REASONS.get(status, "Error")
         head = [f"HTTP/1.1 {status} {reason}",
                 f"content-type: {content_type}",
@@ -549,7 +549,7 @@ class ServingHTTPServer:
         for key, value in (extra or {}).items():
             head.append(f"{key}: {value}")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                     + payload)
+                     + (b"" if bodiless else payload))
         await writer.drain()
 
     # ------------------------------------------------------------------
@@ -636,9 +636,9 @@ class ServingHTTPServer:
             "config": asdict(self.config),
             "models": self.registry.names(),
             "pending_requests": self._pending,
-            "batchers": [{"model": model, "k": k, "busy": b.busy,
+            "batchers": [{"model": model, "busy": b.busy,
                           "queued": b.queue.qsize()}
-                         for (model, k), b in sorted(self._batchers.items())],
+                         for model, b in sorted(self._batchers.items())],
             "closing": self._closing,
             "obs_enabled": obs.enabled(),
             "trace_ring": {"size": len(self.traces),
@@ -665,7 +665,7 @@ class ServingHTTPServer:
                               self.config.default_deadline)
         try:
             nodes = np.atleast_1d(np.asarray(raw, dtype=np.int64))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _HTTPError(400, '"node"/"nodes" must be integer node '
                                   'ids') from None
         if nodes.ndim != 1:
@@ -673,6 +673,7 @@ class ServingHTTPServer:
         # Validate per request, pre-admission: a bad node id must 400
         # its own request, not poison the whole coalesced batch.
         engine = self._get_engine(model)
+        k = min(k, engine.num_nodes)    # wider only sorts whole rows
         if len(nodes) and (nodes.min() < 0
                            or nodes.max() >= engine.num_nodes):
             raise _HTTPError(400, f"node ids must be in "
@@ -719,13 +720,11 @@ class ServingHTTPServer:
                 headers={"retry-after": f"{config.retry_after:.3f}"})
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        request = _TopkRequest(nodes, future, loop.time() + timeout,
+        request = _TopkRequest(nodes, k, future, loop.time() + timeout,
                                ctx=ctx, span=obs.current_span(),
                                enqueued_mono=loop.time(),
                                enqueued_wall=time.time())
-        batcher = self._batchers.get((model, k))
-        if batcher is None:
-            batcher = self._batchers[(model, k)] = _Batcher(self, model, k)
+        batcher = self._batcher(model)
         self._pending += 1
         self._set_queue_depth()
         batcher.queue.put_nowait(request)
@@ -749,9 +748,10 @@ class ServingHTTPServer:
         if self._metrics and obs.enabled():
             obs.get_registry().gauge("http_queue_depth").set(self._pending)
 
-    async def _dispatch(self, model: str, k: int,
+    async def _dispatch(self, model: str,
                         batch: list[_TopkRequest]) -> None:
-        """One coalesced engine call; splits results back per request.
+        """One coalesced engine call; splits the rows back per request,
+        each cut to its own ``k``.
 
         The batcher side of the trace chain: per-member queue waits go
         into the requests' ``ctx.meta`` (and a histogram), one shared
@@ -793,6 +793,7 @@ class ServingHTTPServer:
         if tracing:
             obs.get_registry().histogram(
                 "http_batch_requests", {"model": model}).observe(len(live))
+        k = max(r.k for r in live)
         member_ids = [r.ctx.trace_id for r in live
                       if r.ctx is not None and r.ctx.sampled]
         batch_span = Span(
@@ -810,9 +811,11 @@ class ServingHTTPServer:
             engine = self.registry.get(model)
             nodes = (live[0].nodes if len(live) == 1
                      else np.concatenate([r.nodes for r in live]))
+            row_k = (k if all(r.k == k for r in live) else np.repeat(
+                [r.k for r in live], [len(r.nodes) for r in live]))
             ids, scores = await loop.run_in_executor(
-                self._executor,
-                requestctx.bind(self._engine_call, engine, nodes, k,
+                self._batcher(model).executor,
+                requestctx.bind(self._engine_call, engine, nodes, row_k,
                                 ctx=exemplar_ctx))
         except BaseException as exc:   # noqa: BLE001 - routed per request
             if batch_span is not None:
@@ -823,7 +826,7 @@ class ServingHTTPServer:
             # poison its batch peers.
             if len(live) > 1 and isinstance(exc, ParameterError):
                 for request in live:
-                    await self._dispatch(model, k, [request])
+                    await self._dispatch(model, [request])
                 return
             for request in live:
                 if not request.future.done():
@@ -851,13 +854,14 @@ class ServingHTTPServer:
                 request.span.children.append(batch_span)
             if not request.future.done():
                 request.future.set_result(
-                    (ids[offset:offset + count],
-                     scores[offset:offset + count]))
+                    (ids[offset:offset + count, :request.k],
+                     scores[offset:offset + count, :request.k]))
             offset += count
 
-    def _engine_call(self, engine, nodes: np.ndarray, k: int):
-        """The coalesced call, on a worker thread, inside the trace."""
-        with obs.trace("serving.engine", nodes=int(len(nodes)), k=int(k)):
+    def _engine_call(self, engine, nodes: np.ndarray, k):
+        """The coalesced call, on the model's thread, inside the trace."""
+        with obs.trace("serving.engine", nodes=int(len(nodes)),
+                       k=int(np.max(k))):
             return engine.topk(nodes, k)
 
     # ------------------------------------------------------------------
@@ -871,13 +875,13 @@ class ServingHTTPServer:
         try:
             src = np.asarray(payload["src"], dtype=np.int64)
             dst = np.asarray(payload["dst"], dtype=np.int64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _HTTPError(400, '"src"/"dst" must be integer node ids'
                              ) from None
         loop = asyncio.get_running_loop()
         try:
             scores = await loop.run_in_executor(
-                self._executor, engine.score, src, dst)
+                self._batcher(model).executor, engine.score, src, dst)
         except ParameterError as exc:
             raise _HTTPError(400, str(exc)) from None
         if src.ndim == 0 and dst.ndim == 0:

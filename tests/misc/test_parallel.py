@@ -9,7 +9,8 @@ import pytest
 
 from repro import parallel
 from repro.errors import ParameterError
-from repro.parallel import effective_workers, parallel_map
+from repro.parallel import (_openblas_pools, effective_workers,
+                            limit_blas_threads, parallel_map)
 
 
 def _square(task):
@@ -115,3 +116,27 @@ def test_invalid_workers_raise(workers):
 def test_fractional_workers_raise():
     with pytest.raises(ParameterError):
         effective_workers(2.5)
+
+
+def _blas_threads() -> list[int]:
+    return [get() for get, _ in _openblas_pools()]
+
+
+def test_limit_blas_threads_nests_and_restores():
+    """The smallest limit held applies; the last holder out restores."""
+    before = _blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS loaded in this process")
+    with limit_blas_threads(1):
+        assert _blas_threads() == [1] * len(before)
+        with limit_blas_threads(2):
+            assert _blas_threads() == [1] * len(before)
+        assert _blas_threads() == [1] * len(before)
+    assert _blas_threads() == before
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5])
+def test_limit_blas_threads_rejects_bad_counts(threads):
+    with pytest.raises(ParameterError):
+        with limit_blas_threads(threads):
+            pass

@@ -203,6 +203,43 @@ def test_cache_key_includes_k(nrp_model, shards):
     np.testing.assert_array_equal(batch_ids[0], ref[:25])
 
 
+@pytest.mark.parametrize("cache_size", [0, 16], ids=["nocache", "cache"])
+def test_per_node_k_rows_match_solo_calls(nrp_model, cache_size):
+    """One ``k`` per source node: row i is the solo top-``k[i]``, padded
+    with ``-1`` / ``-inf`` out to the widest row."""
+    engine = nrp_model.to_serving(cache_size=cache_size)
+    ids, scores = engine.topk([3, 7, 3], k=[2, 6, 4])
+    assert ids.shape == scores.shape == (3, 6)
+    for row, (node, k) in enumerate([(3, 2), (7, 6), (3, 4)]):
+        np.testing.assert_array_equal(ids[row, :k],
+                                      full_ranking(nrp_model, node)[:k])
+        assert (ids[row, k:] == -1).all()
+        assert np.isneginf(scores[row, k:]).all()
+    with pytest.raises(ParameterError, match="one entry per source"):
+        engine.topk([3, 7], k=[2])
+    with pytest.raises(ParameterError, match="k must be"):
+        engine.topk([3, 7], k=[2, 0])
+
+
+def test_per_node_k_reads_and_fills_the_cache_at_each_k(nrp_model):
+    """A row batched with a wider peer still hits, and stores, its own
+    ``(node, k)`` entry: the cache does not depend on batch company."""
+    engine = nrp_model.to_serving(cache_size=16)
+    engine.topk(3, k=5)                              # warms (3, 5)
+    searched = []
+    real_search = engine.index.search
+    engine.index.search = lambda q, k: (searched.append((len(q), k)),
+                                        real_search(q, k))[1]
+    ids, _ = engine.topk([3, 9], k=[5, 7])
+    assert searched == [(1, 7)]                      # only node 9 searched
+    stats = engine.cache_stats()
+    assert stats.hits == 1 and stats.misses == 2
+    assert set(engine._cache) == {(3, 5), (9, 7)}
+    np.testing.assert_array_equal(ids[0, :5], full_ranking(nrp_model, 3)[:5])
+    engine.topk(9, k=7)                              # a hit, not a search
+    assert searched == [(1, 7)]
+
+
 def test_duplicate_nodes_searched_once_per_batch(nrp_model):
     engine = nrp_model.to_serving()
     seen_rows = []

@@ -9,6 +9,7 @@ serve`` subcommand end to end (run in-thread so the coverage gate's
 """
 
 import http.client
+import io
 import json
 import socket
 import threading
@@ -16,10 +17,11 @@ import time
 
 import numpy as np
 import pytest
-from harness import generation_embedding, http_json
+from harness import SlowEngine, generation_embedding, http_json
 
 from repro import obs
 from repro.errors import ParameterError, ReproError
+from repro.obs.requestlog import RequestLogger
 from repro.serving import (HTTPServingConfig, QueryEngine,
                            ServingHTTPServer, ServingRegistry,
                            publish_version)
@@ -27,16 +29,6 @@ from repro.serving.cli import main
 from repro.serving.store import export_store
 
 N, DIM = 64, 8
-
-
-class SlowEngine(QueryEngine):
-    """A QueryEngine whose topk dawdles — for queue/deadline tests."""
-
-    delay = 0.3
-
-    def topk(self, src_nodes, k=10):
-        time.sleep(self.delay)
-        return super().topk(src_nodes, k)
 
 
 def _conn(server) -> http.client.HTTPConnection:
@@ -339,7 +331,7 @@ def _slow_server(**config_kwargs):
     engine = SlowEngine(generation_embedding(0, n=N, dim=DIM),
                         cache_size=0)
     registry.register("slow", engine)
-    config = HTTPServingConfig(max_delay=0.0, **config_kwargs)
+    config = HTTPServingConfig(**config_kwargs)
     return ServingHTTPServer(registry, config=config,
                              metrics=False).start(port=0)
 
@@ -415,17 +407,19 @@ def test_expired_deadline_is_shed_with_504():
 # ----------------------------------------------------------------------
 
 def test_concurrent_requests_coalesce_into_batches(served):
-    """Concurrent same-(model, k) requests share engine calls.
+    """Concurrent requests to one model share engine calls.
 
-    8 keep-alive clients hammer one model: with a 50ms coalescing
-    window the collector must pack >1 request into typical engine
-    calls, visible in both the HTTP tier's batch histogram and the
-    engine's ``serving_topk_batch_size`` series.
+    8 keep-alive clients hammer one model whose engine call takes
+    50ms: requests that arrive while a call is in flight must leave
+    together in the next one, visible in both the HTTP tier's batch
+    histogram and the engine's ``serving_topk_batch_size`` series.
     """
     registry = ServingRegistry()
-    registry.register("co", generation_embedding(5, n=N, dim=DIM),
-                      cache_size=0)
-    config = HTTPServingConfig(max_delay=0.05, max_batch=64)
+    engine = SlowEngine(generation_embedding(5, n=N, dim=DIM),
+                        cache_size=0)
+    engine.delay = 0.05
+    registry.register("co", engine)
+    config = HTTPServingConfig(max_batch=64)
     server = ServingHTTPServer(registry, config=config).start(port=0)
     try:
         errors: list = []
@@ -465,6 +459,200 @@ def test_concurrent_requests_coalesce_into_batches(served):
         assert http_hist.count < 32
     finally:
         server.stop(close_registry=True)
+
+
+def test_lone_request_is_dispatched_without_waiting():
+    """An idle model dispatches a request at once: no batching timer.
+
+    One client, cache off, 20 sequential requests: each is alone in the
+    queue, so its queue wait (access log and trace meta) is one event
+    loop hop, far below a millisecond.
+    """
+    registry = ServingRegistry()
+    registry.register("lone", generation_embedding(0, n=N, dim=DIM),
+                      cache_size=0)
+    buffer = io.StringIO()
+    server = ServingHTTPServer(
+        registry, access_log=RequestLogger(buffer, buffer_lines=1),
+        ).start(port=0)
+    try:
+        conn = _conn(server)
+        try:
+            for node in range(20):
+                status, _, _ = http_json(conn, "POST", "/v1/lone/topk",
+                                         {"node": node, "k": 5})
+                assert status == 200
+        finally:
+            conn.close()
+        server.access_log.flush()
+        records = [json.loads(line)
+                   for line in buffer.getvalue().splitlines()]
+    finally:
+        server.stop(close_registry=True)
+    waits = [r["queue_wait_ms"] for r in records
+             if r["route"] == "/v1/{model}/topk"]
+    assert len(waits) == 20
+    assert all(r["batch_size"] == 1 for r in records)
+    assert float(np.median(waits)) < 1.0, waits
+
+
+def test_mixed_k_requests_share_one_engine_call():
+    """Different ``k`` for one model ride one engine call, each cut to
+    its own ``k``.
+
+    An occupant request holds the slow engine; ``k=3``, ``k=7`` and a
+    two-node ``k=7`` request queue up behind it and must leave in one
+    batch, each answer matching a solo ``engine.topk(node, k)``.
+    """
+    registry = ServingRegistry()
+    registry.register("mixk", SlowEngine(
+        generation_embedding(2, n=N, dim=DIM), cache_size=0))
+    server = ServingHTTPServer(registry).start(port=0)
+    reference = QueryEngine(generation_embedding(2, n=N, dim=DIM),
+                            cache_size=0)
+    payloads = [{"node": 0, "k": 5},
+                {"node": 3, "k": 3}, {"node": 11, "k": 7},
+                {"nodes": [5, 40], "k": 7}]
+    replies: dict = {}
+
+    def client(i: int) -> None:
+        conn = _conn(server)
+        try:
+            replies[i] = http_json(conn, "POST", "/v1/mixk/topk",
+                                   payloads[i])
+        finally:
+            conn.close()
+
+    try:
+        occupant = threading.Thread(target=client, args=(0,))
+        occupant.start()
+        time.sleep(0.1)            # the occupant is mid-engine-call
+        riders = [threading.Thread(target=client, args=(i,))
+                  for i in range(1, len(payloads))]
+        for t in riders:
+            t.start()
+        for t in [occupant, *riders]:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    finally:
+        server.stop(close_registry=True)
+
+    hist = obs.get_registry().get("http_batch_requests", {"model": "mixk"})
+    # two engine calls: the occupant alone, then all three riders
+    assert hist.count == 2 and hist.sum == len(payloads)
+    for i, payload in enumerate(payloads):
+        status, body, _ = replies[i]
+        assert status == 200, body
+        k = payload["k"]
+        rows = ([body] if "node" in payload else body["results"])
+        for row in rows:
+            ids, scores = reference.topk(row["node"], k)
+            assert len(row["neighbors"]) == k
+            # equal up to ties: same scores in order, and each returned
+            # id really has the score reported for it
+            np.testing.assert_allclose(row["scores"], scores)
+            np.testing.assert_allclose(
+                reference.score([row["node"]] * k, row["neighbors"]),
+                row["scores"])
+
+
+def test_mixed_k_riders_use_their_own_cache_entries():
+    """A rider batched with wider peers reads and fills the cache at its
+    own ``k``; a ``k`` beyond the model is capped at its node count."""
+    registry = ServingRegistry()
+    engine = SlowEngine(generation_embedding(4, n=N, dim=DIM),
+                        cache_size=64)
+    engine.delay = 0.2
+    registry.register("warm", engine)
+    server = ServingHTTPServer(registry).start(port=0)
+    payloads = [{"node": 0, "k": 5},
+                {"node": 3, "k": 5}, {"node": 11, "k": 7},
+                {"node": 20, "k": 10 ** 9}]
+    replies: dict = {}
+
+    def client(i: int) -> None:
+        conn = _conn(server)
+        try:
+            replies[i] = http_json(conn, "POST", "/v1/warm/topk",
+                                   payloads[i])
+        finally:
+            conn.close()
+
+    try:
+        client(1)                      # warms (3, 5)
+        occupant = threading.Thread(target=client, args=(0,))
+        occupant.start()
+        time.sleep(0.1)                # the occupant is mid-engine-call
+        riders = [threading.Thread(target=client, args=(i,))
+                  for i in range(1, len(payloads))]
+        for t in riders:
+            t.start()
+        for t in [occupant, *riders]:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        hist = obs.get_registry().get("http_batch_requests",
+                                      {"model": "warm"})
+        # warm-up, occupant, then the three riders together
+        assert hist.count == 3 and hist.sum == 5
+        stats = engine.cache_stats()
+        assert stats.hits == 1 and stats.misses == 4   # node 3's rider
+        assert set(engine._cache) == {(3, 5), (0, 5), (11, 7), (20, N)}
+    finally:
+        server.stop(close_registry=True)
+    status, body, _ = replies[3]
+    assert status == 200 and body["k"] == N
+    assert len(body["neighbors"]) == N
+
+
+def test_unregistered_models_batcher_and_thread_are_retired():
+    """A model's batcher (and its engine thread) leaves with the model;
+    a model that stays keeps its own."""
+    registry = ServingRegistry()
+    for name in ("stay", "gone"):
+        registry.register(name, generation_embedding(0, n=N, dim=DIM),
+                          cache_size=0)
+    server = ServingHTTPServer(registry).start(port=0)
+
+    def batch_threads() -> set:           # of this test's models
+        return {t.name.split("_")[0] for t in threading.enumerate()} & {
+            "http-batch-stay", "http-batch-gone"}
+
+    conn = _conn(server)
+    try:
+        for name in ("stay", "gone"):
+            status, _, _ = http_json(conn, "POST", f"/v1/{name}/topk",
+                                     {"node": 1, "k": 3})
+            assert status == 200
+            status, _, _ = http_json(conn, "POST", f"/v1/{name}/score",
+                                     {"src": 1, "dst": 2})
+            assert status == 200
+        assert batch_threads() == {"http-batch-stay", "http-batch-gone"}
+        registry.unregister("gone")
+        deadline = time.monotonic() + 5.0
+        while ("http-batch-gone" in batch_threads()
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        assert batch_threads() == {"http-batch-stay"}
+        _, body, _ = http_json(conn, "GET", "/debug/vars")
+        assert [b["model"] for b in body["batchers"]] == ["stay"]
+    finally:
+        conn.close()
+        server.stop(close_registry=True)
+
+
+def test_server_runs_blas_single_threaded_while_serving():
+    from repro.parallel import _openblas_pools
+    before = [get() for get, _ in _openblas_pools()]
+    if not before:
+        pytest.skip("no OpenBLAS loaded in this process")
+    registry = ServingRegistry()
+    registry.register("m", generation_embedding(0, n=N, dim=DIM))
+    server = ServingHTTPServer(registry, metrics=False).start(port=0)
+    try:
+        assert [get() for get, _ in _openblas_pools()] == [1] * len(before)
+    finally:
+        server.stop(close_registry=True)
+    assert [get() for get, _ in _openblas_pools()] == before
 
 
 def test_hot_swap_mid_traffic_stays_generation_consistent():
@@ -541,9 +729,10 @@ def test_start_twice_and_port_conflict_raise(served):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"max_batch": 0}, {"max_delay": -0.1}, {"max_queue": 0},
+    {"max_batch": 0}, {"max_queue": 0},
     {"default_deadline": 0.0}, {"retry_after": -1.0}, {"max_body": 0},
-    {"workers": 0}, {"workers": 1.5},
+    {"trace_sample": 1.5}, {"trace_ring": 0},
+    {"access_log_per_second": 0.0},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ParameterError):
@@ -577,8 +766,7 @@ def test_cli_serve_flat_store(tmp_path, capsys):
     ready = tmp_path / "ready.json"
     thread, codes = _serve_in_thread(
         ["serve", str(tmp_path / "store"), "--port", "0", "--name", "m",
-         "--max-seconds", "2", "--max-delay", "0.001",
-         "--ready-file", str(ready)])
+         "--max-seconds", "2", "--ready-file", str(ready)])
     info = _wait_ready(ready)
     assert info["model"] == "m" and info["num_nodes"] == N
     conn = http.client.HTTPConnection(info["host"], info["port"],
@@ -604,7 +792,7 @@ def test_cli_serve_watch_hot_swaps_published_versions(tmp_path, capsys):
     ready = tmp_path / "ready.json"
     thread, codes = _serve_in_thread(
         ["serve", str(root), "--port", "0", "--name", "m",
-         "--watch", "0.1", "--max-seconds", "6", "--max-delay", "0.001",
+         "--watch", "0.1", "--max-seconds", "6",
          "--ready-file", str(ready)])
     info = _wait_ready(ready)
     assert info["version"] == 1

@@ -15,7 +15,7 @@ import threading
 import time
 
 import pytest
-from harness import generation_embedding, http_json
+from harness import SlowEngine, generation_embedding, http_json
 
 from repro import obs
 from repro.obs.requestlog import RequestLogger
@@ -68,10 +68,8 @@ def served(access_buffer):
     registry = ServingRegistry()
     registry.register("live", generation_embedding(0, n=N, dim=DIM),
                       cache_size=0)
-    config = HTTPServingConfig(max_delay=0.005)
     logger = RequestLogger(access_buffer, buffer_lines=1)
-    server = ServingHTTPServer(registry, config=config,
-                               access_log=logger).start(port=0)
+    server = ServingHTTPServer(registry, access_log=logger).start(port=0)
     yield server
     server.stop(close_registry=True)
     obs.set_enabled(False)
@@ -306,22 +304,40 @@ def test_storm_traces_batches_and_logs(served, access_buffer):
     clients = 32
     results: list = [None] * clients
     barrier = threading.Barrier(clients, timeout=30)
+    # The storm's model holds each engine call for 20ms, so requests
+    # that arrive while one is in flight must share the next batch.
+    engine = SlowEngine(generation_embedding(0, n=N, dim=DIM),
+                        cache_size=0)
+    engine.delay = 0.02
+    served.registry.register("storm", engine)
 
     def one(i):
         conn = _conn(served)
         try:
             barrier.wait()
-            results[i] = http_json(conn, "POST", "/v1/live/topk",
+            results[i] = http_json(conn, "POST", "/v1/storm/topk",
                                    {"node": i % N, "k": 5})
         finally:
             conn.close()
 
     threads = [threading.Thread(target=one, args=(i,))
                for i in range(clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        served.registry.unregister("storm")
+    # the storm model's batcher and engine thread leave with it
+    deadline = time.monotonic() + 10.0
+    while (any(t.name.startswith("http-batch-storm")
+               for t in threading.enumerate())
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    assert not any(t.name.startswith("http-batch-storm")
+                   for t in threading.enumerate())
 
     # every 2xx response carries a trace id
     trace_ids = set()
@@ -333,8 +349,8 @@ def test_storm_traces_batches_and_logs(served, access_buffer):
     assert len(trace_ids) == clients
 
     # sampled traces show the full chain, and at least one batch span
-    # is linked to >= 2 member requests (32 clients vs max_delay=5ms
-    # on one event loop guarantees coalescing)
+    # is linked to >= 2 member requests (31 clients queue behind the
+    # first one's 20ms engine call)
     conn = _conn(served)
     try:
         status, body, _ = http_json(
@@ -418,7 +434,7 @@ def test_cli_serve_sigterm_drains_and_flushes(tmp_path, capsys):
     code = main(["--metrics-json", str(metrics_path),
                  "serve", str(tmp_path / "store"), "--port", "0",
                  "--name", "m", "--max-seconds", "30",
-                 "--max-delay", "0.001", "--ready-file", str(ready),
+                 "--ready-file", str(ready),
                  "--access-log", str(access),
                  "--trace-sample", "1.0"])
     helper.join(timeout=10)

@@ -35,9 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.serving import QueryEngine
+
 __all__ = ["StormResult", "run_storm", "BarrierSchedule", "truncate_file",
            "tear_json", "set_current_pointer", "drop_shard_dir",
-           "generation_embedding", "http_json", "LatencyRecorder"]
+           "generation_embedding", "SlowEngine", "http_json",
+           "LatencyRecorder"]
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +323,22 @@ def generation_embedding(generation: int, *, n: int = 64, dim: int = 8):
     base = rng.standard_normal((n, dim))
     return EmbeddingBundle(name=f"gen{generation}", directional=False,
                            embedding=(generation + 1.0) * base)
+
+
+class SlowEngine(QueryEngine):
+    """A QueryEngine whose ``topk`` sleeps ``delay`` seconds first.
+
+    Holds an engine call in flight, so HTTP tests can queue requests
+    behind it: backpressure, deadline shedding, and batch coalescing
+    (the batcher never waits for company, so riders only pile up while
+    a call is running).
+    """
+
+    delay = 0.3
+
+    def topk(self, src_nodes, k=10):
+        time.sleep(self.delay)
+        return super().topk(src_nodes, k)
 
 
 def _manifest_of(path: str | Path) -> dict:

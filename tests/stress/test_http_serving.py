@@ -83,7 +83,7 @@ def test_storm_survives_publish_swap_churn_with_batching(tmp_path):
 
     registry = ServingRegistry()
     registry.register("live", open_current(root), cache_size=0)
-    config = HTTPServingConfig(max_delay=0.005, max_batch=64)
+    config = HTTPServingConfig(max_batch=64)
     server = ServingHTTPServer(registry, config=config).start(port=0)
 
     probe = np.arange(12)
@@ -192,8 +192,7 @@ def test_streaming_updater_publishes_and_swaps_into_live_server(tmp_path):
 
     registry = ServingRegistry()
     updater.swap_into(registry, "live", cache_size=0)
-    config = HTTPServingConfig(max_delay=0.005)
-    server = ServingHTTPServer(registry, config=config).start(port=0)
+    server = ServingHTTPServer(registry).start(port=0)
 
     statuses: list[int] = []
     status_lock = threading.Lock()
